@@ -167,33 +167,33 @@ def test_disk_paging_matrix(benchmark):
                         seed=0, async_prefetch=True, prefetch_depth=depth,
                         write_behind=write_behind, page_codec=codec,
                     )
-                    t = Trainer(model.copy(), cfg)
-                    t0 = time.perf_counter()
-                    # alternate two clusters: the depth-1 structural miss
-                    t.train(cameras[:2], images[:2], steps)
-                    step_s = (time.perf_counter() - t0) / steps
-                    s = t.system
-                    attempts = max(s.prefetch_hits + s.prefetch_misses, 1)
-                    ledger = s.ledger
-                    entries.append({
-                        "bench": "matrix",
-                        "codec": codec,
-                        "prefetch_depth": depth,
-                        "write_behind": write_behind,
-                        "steps": steps,
-                        "staging_hit_rate": round(
-                            s.prefetch_hits / attempts, 4
-                        ),
-                        "page_in_count": ledger.page_in_count,
-                        "sync_spill_bytes": s.sync_spill_bytes,
-                        "write_behind_jobs": s.write_behind_jobs,
-                        "disk_read_ratio": round(
-                            ledger.page_in_bytes
-                            / max(ledger.page_in_disk_bytes, 1), 4
-                        ),
-                        "step_s": step_s,
-                        "sync_spill_s": s.sync_spill_seconds,
-                    })
+                    with Trainer(model.copy(), cfg) as t:
+                        t0 = time.perf_counter()
+                        # alternate two clusters: the depth-1 structural miss
+                        t.train(cameras[:2], images[:2], steps)
+                        step_s = (time.perf_counter() - t0) / steps
+                        s = t.system
+                        attempts = max(s.prefetch_hits + s.prefetch_misses, 1)
+                        ledger = s.ledger
+                        entries.append({
+                            "bench": "matrix",
+                            "codec": codec,
+                            "prefetch_depth": depth,
+                            "write_behind": write_behind,
+                            "steps": steps,
+                            "staging_hit_rate": round(
+                                s.prefetch_hits / attempts, 4
+                            ),
+                            "page_in_count": ledger.page_in_count,
+                            "sync_spill_bytes": s.sync_spill_bytes,
+                            "write_behind_jobs": s.write_behind_jobs,
+                            "disk_read_ratio": round(
+                                ledger.page_in_bytes
+                                / max(ledger.page_in_disk_bytes, 1), 4
+                            ),
+                            "step_s": step_s,
+                            "sync_spill_s": s.sync_spill_seconds,
+                        })
         return entries
 
     entries = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
@@ -241,35 +241,35 @@ def test_tenx_budget_entry(benchmark):
             seed=0, async_prefetch=True, prefetch_depth=2,
             write_behind=True, page_codec="float16",
         )
-        t = Trainer(scene.initial.copy(), cfg)
-        t0 = time.perf_counter()
-        t.train(
-            scene.train_cameras, scene.train_images, steps,
-            view_order="locality",
-        )
-        step_s = (time.perf_counter() - t0) / steps
-        s = t.system
-        pageable = sum(
-            3 * layout.param_bytes(r.size, layout.NON_GEOMETRIC_DIM)
-            for r in s.shard_rows
-        )
-        return {
-            "bench": "tenx",
-            "codec": "float16",
-            "prefetch_depth": 2,
-            "write_behind": True,
-            "num_shards": 10,
-            "steps": steps,
-            "pageable_over_host_peak": round(
-                pageable / s.host_memory.peak_bytes, 2
-            ),
-            "sync_spill_bytes": s.sync_spill_bytes,
-            "staging_hit_rate": round(
-                s.prefetch_hits
-                / max(s.prefetch_hits + s.prefetch_misses, 1), 4
-            ),
-            "step_s": step_s,
-        }
+        with Trainer(scene.initial.copy(), cfg) as t:
+            t0 = time.perf_counter()
+            t.train(
+                scene.train_cameras, scene.train_images, steps,
+                view_order="locality",
+            )
+            step_s = (time.perf_counter() - t0) / steps
+            s = t.system
+            pageable = sum(
+                3 * layout.param_bytes(r.size, layout.NON_GEOMETRIC_DIM)
+                for r in s.shard_rows
+            )
+            return {
+                "bench": "tenx",
+                "codec": "float16",
+                "prefetch_depth": 2,
+                "write_behind": True,
+                "num_shards": 10,
+                "steps": steps,
+                "pageable_over_host_peak": round(
+                    pageable / s.host_memory.peak_bytes, 2
+                ),
+                "sync_spill_bytes": s.sync_spill_bytes,
+                "staging_hit_rate": round(
+                    s.prefetch_hits
+                    / max(s.prefetch_hits + s.prefetch_misses, 1), 4
+                ),
+                "step_s": step_s,
+            }
 
     entry = benchmark.pedantic(run, rounds=1, iterations=1)
     # the deep tier's whole point: far past the budget, no admit-path

@@ -173,11 +173,10 @@ def test_telemetry_trace_artifact(benchmark):
         )
 
         def run():
-            trainer = Trainer(GaussianModel(scene.initial.params.copy()), cfg)
-            trainer.train(
-                scene.train_cameras, scene.train_images, iterations=iterations
-            )
-            trainer.system.finalize()
+            with Trainer(GaussianModel(scene.initial.params.copy()), cfg) as trainer:
+                trainer.train(
+                    scene.train_cameras, scene.train_images, iterations=iterations
+                )
             return trace.get_tracer()
 
         tracer = benchmark.pedantic(run, rounds=1, iterations=1)

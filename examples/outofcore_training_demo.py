@@ -15,7 +15,7 @@ The third run turns on the async prefetch leg (``async_prefetch=True``):
 a background worker snapshots the *next* view's spilled shards while the
 current view renders, so the page read comes off the critical path —
 still bit-identical, same ledger, just overlapped. Next-view hints come
-from the step loop (``hint_next_view``), exactly what
+from the step loop (``hint_upcoming_views``), exactly what
 ``Trainer.train(view_order="locality")`` automates. (This demo's wide
 frustums touch every shard in every view, so the snapshots go stale and
 every page-in falls back to the synchronous read — the honest worst
@@ -35,6 +35,7 @@ Run:  python examples/outofcore_training_demo.py [--codec float16]
 
 import argparse
 import os
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -76,10 +77,9 @@ def train(scene, system, **cfg_kwargs):
     engine = create_system(scene.initial.copy(), config)
     cams, images = scene.train_cameras, scene.train_images
     for i in range(ITERATIONS):
-        if hasattr(engine, "hint_upcoming_views") and i + 1 < ITERATIONS:
-            depth = max(getattr(engine, "prefetch_depth", 1), 1)
+        if i + 1 < ITERATIONS:
             engine.hint_upcoming_views(
-                [cams[(i + 1 + d) % len(cams)] for d in range(depth)]
+                [cams[(i + 1 + d) % len(cams)] for d in range(engine.prefetch_depth)]
             )
         engine.step(cams[i % len(cams)], images[i % len(cams)])
     engine.finalize()
@@ -106,12 +106,25 @@ def main():
 
     print(f"\nTraining in-memory sharded (K={NUM_SHARDS}) and out-of-core "
           f"(K={NUM_SHARDS}, resident={RESIDENT_SHARDS}) ...")
-    sharded = train(scene, "sharded", num_shards=NUM_SHARDS)
-    ooc = train(scene, "outofcore", num_shards=NUM_SHARDS,
-                resident_shards=RESIDENT_SHARDS, page_codec=args.codec)
-    asyn = train(scene, "outofcore", num_shards=NUM_SHARDS,
-                 resident_shards=RESIDENT_SHARDS, async_prefetch=True,
-                 prefetch_depth=args.prefetch_depth, page_codec=args.codec)
+    # the out-of-core systems own spill directories and background
+    # threads: the with block releases them when the report is done
+    with ExitStack() as systems:
+        sharded = systems.enter_context(
+            train(scene, "sharded", num_shards=NUM_SHARDS)
+        )
+        ooc = systems.enter_context(
+            train(scene, "outofcore", num_shards=NUM_SHARDS,
+                  resident_shards=RESIDENT_SHARDS, page_codec=args.codec)
+        )
+        asyn = systems.enter_context(
+            train(scene, "outofcore", num_shards=NUM_SHARDS,
+                  resident_shards=RESIDENT_SHARDS, async_prefetch=True,
+                  prefetch_depth=args.prefetch_depth, page_codec=args.codec)
+        )
+        report(args, sharded, ooc, asyn)
+
+
+def report(args, sharded, ooc, asyn):
     # snapshot before materialized_model(): materializing pages every
     # shard through the R=1 budget and would inflate the counts
     trained_page_ins = (ooc.ledger.page_in_count, asyn.ledger.page_in_count)
@@ -146,9 +159,8 @@ def main():
     print("\nPer-shard page traffic (disk channel of the ledger):")
     print("  shard  gaussians  resident  page-in MB  page-out MB")
     for r in ooc.shard_reports():
-        resident = ooc._nongeo_store(r.shard).is_resident
         print(
-            f"  {r.shard:>5}  {r.num_gaussians:>9}  {str(resident):>8}  "
+            f"  {r.shard:>5}  {r.num_gaussians:>9}  {str(r.resident):>8}  "
             f"{r.page_in_bytes / 1e6:>10.3f}  {r.page_out_bytes / 1e6:>11.3f}"
         )
     print(

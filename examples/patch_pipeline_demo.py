@@ -90,18 +90,17 @@ def main():
 
         # -- serve the final checkpoint -----------------------------------
         camera, truth = scene.test_cameras[0], scene.test_images[0]
-        hot = RenderService.from_checkpoint(result.checkpoint_path)
-        frame = hot.render(RenderRequest(camera=camera)).image
-        paged = RenderService.from_checkpoint(
+        with RenderService.from_checkpoint(result.checkpoint_path) as hot:
+            frame = hot.render(RenderRequest(camera=camera)).image
+        with RenderService.from_checkpoint(
             result.checkpoint_path, host_budget_bytes=1 << 18, num_shards=4
-        )
-        paged_frame = paged.render(RenderRequest(camera=camera)).image
+        ) as paged:
+            paged_frame = paged.render(RenderRequest(camera=camera)).image
         assert np.array_equal(frame, paged_frame), "paging changes no pixel"
         print(
             f"\n== serving final checkpoint: probe view PSNR "
             f"{psnr(frame, truth):.1f} dB (in-memory == paged)"
         )
-        paged.store.close()
 
         # -- resume: a second run costs one manifest read per patch -------
         again = run_patch_pipeline(

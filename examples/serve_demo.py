@@ -48,12 +48,11 @@ def train_checkpoint(scene, path: str) -> None:
         scene_extent=scene.extent, ssim_lambda=0.2, seed=0,
         engine="vectorized",
     )
-    system = create_system(scene.initial.copy(), config)
     cams, images = scene.train_cameras, scene.train_images
-    for i in range(ITERATIONS):
-        system.step(cams[i % len(cams)], images[i % len(cams)])
-    save_checkpoint(path, system)
-    system.finalize()
+    with create_system(scene.initial.copy(), config) as system:
+        for i in range(ITERATIONS):
+            system.step(cams[i % len(cams)], images[i % len(cams)])
+        save_checkpoint(path, system)
 
 
 def main():
@@ -120,28 +119,27 @@ def main():
         budget = layout.param_bytes(n, layout.GEOMETRIC_DIM) + (
             layout.param_bytes(-(-n // 4), layout.NON_GEOMETRIC_DIM)
         )
-        paged = RenderService.from_checkpoint(
+        with RenderService.from_checkpoint(
             ckpt, host_budget_bytes=budget, num_shards=4
-        )
-        store = paged.store
-        print(
-            f"\n== paged serving: model {store.model_bytes} B > "
-            f"budget {budget} B (resident shards: {store.resident_budget})"
-        )
-        out = paged.serve(requests_from_cameras([c for c in scene.train_cameras]))
-        ref = render(model, scene.train_cameras[0], config=paged.config).image
-        assert np.array_equal(out[0].image, ref), "paging must not change pixels"
-        assert store.host_memory.peak_bytes <= budget
-        print(
-            f"  peak tracked host bytes: {store.host_memory.peak_bytes} "
-            f"(<= budget)"
-        )
-        print(
-            f"  page channel: {store.ledger.page_in_count} page-ins "
-            f"({store.ledger.page_in_bytes} B), "
-            f"{store.ledger.page_out_count} page-outs"
-        )
-        paged.close()
+        ) as paged:
+            store = paged.store
+            print(
+                f"\n== paged serving: model {store.model_bytes} B > "
+                f"budget {budget} B (resident shards: {store.resident_budget})"
+            )
+            out = paged.serve(requests_from_cameras([c for c in scene.train_cameras]))
+            ref = render(model, scene.train_cameras[0], config=paged.config).image
+            assert np.array_equal(out[0].image, ref), "paging must not change pixels"
+            assert store.host_memory.peak_bytes <= budget
+            print(
+                f"  peak tracked host bytes: {store.host_memory.peak_bytes} "
+                f"(<= budget)"
+            )
+            print(
+                f"  page channel: {store.ledger.page_in_count} page-ins "
+                f"({store.ledger.page_in_bytes} B), "
+                f"{store.ledger.page_out_count} page-outs"
+            )
 
     # -- the modeled counterpart ------------------------------------------
     print("\n== modeled serving latency (desktop_4090, 2M splats, 500 req/s)")

@@ -54,26 +54,19 @@ def train_traced(scene, ckpt_path: str):
         ssim_lambda=0.2,
         seed=0,
     )
-    system = create_system(scene.initial.copy(), config)
     cams, images = scene.train_cameras, scene.train_images
-    for i in range(ITERATIONS):
-        if hasattr(system, "hint_upcoming_views") and i + 1 < ITERATIONS:
-            system.hint_upcoming_views([cams[(i + 1) % len(cams)]])
-        system.step(cams[i % len(cams)], images[i % len(cams)])
-    save_checkpoint(ckpt_path, system)
-    system.finalize()
-    return system
+    with create_system(scene.initial.copy(), config) as system:
+        for i in range(ITERATIONS):
+            if i + 1 < ITERATIONS:
+                system.hint_upcoming_views([cams[(i + 1) % len(cams)]])
+            system.step(cams[i % len(cams)], images[i % len(cams)])
+        save_checkpoint(ckpt_path, system)
+        return system.num_gaussians
 
 
 def serve_burst(ckpt_path: str, scene, n_model: int):
     budget = layout.param_bytes(n_model, layout.GEOMETRIC_DIM) + (
         layout.param_bytes(-(-n_model // NUM_SHARDS), layout.NON_GEOMETRIC_DIM)
-    )
-    service = RenderService.from_checkpoint(
-        ckpt_path,
-        host_budget_bytes=budget,
-        num_shards=NUM_SHARDS,
-        serve_config=ServeConfig(telemetry=True),
     )
     orbit = requests_from_cameras(
         trajectories.orbit(
@@ -81,9 +74,13 @@ def serve_burst(ckpt_path: str, scene, n_model: int):
             width=48, height_px=36,
         )
     )
-    responses = service.serve(orbit)
-    service.close()
-    return responses
+    with RenderService.from_checkpoint(
+        ckpt_path,
+        host_budget_bytes=budget,
+        num_shards=NUM_SHARDS,
+        serve_config=ServeConfig(telemetry=True),
+    ) as service:
+        return service.serve(orbit)
 
 
 def main():
@@ -98,10 +95,10 @@ def main():
     print(f"== training {ITERATIONS} out-of-core steps with telemetry on")
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "trained.npz")
-        system = train_traced(scene, ckpt)
+        num_gaussians = train_traced(scene, ckpt)
 
         print("== serving a 12-request orbit burst (paged, telemetry on)")
-        responses = serve_burst(ckpt, scene, system.num_gaussians)
+        responses = serve_burst(ckpt, scene, num_gaussians)
     assert all(r.status == "ok" for r in responses)
 
     tracer = trace.get_tracer()

@@ -12,7 +12,7 @@ from .cameras import Camera
 from .core import (
     GSScaleConfig,
     ParameterStore,
-    ShardedGSScaleSystem,
+    GSScaleSystem,
     Trainer,
     create_system,
 )
@@ -35,11 +35,11 @@ __all__ = [
     "DenseAdam",
     "DensifyConfig",
     "GSScaleConfig",
+    "GSScaleSystem",
     "GaussianModel",
     "PLATFORMS",
     "ParameterStore",
     "SceneSpec",
-    "ShardedGSScaleSystem",
     "SyntheticSceneConfig",
     "Trainer",
     "bench",

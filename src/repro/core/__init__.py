@@ -29,8 +29,7 @@ from .systems import (
     BaselineOffloadSystem,
     GPUOnlySystem,
     GSScaleSystem,
-    OutOfCoreGSScaleSystem,
-    ShardedGSScaleSystem,
+    Placement,
     ShardReport,
     StepReport,
     TrainingSystem,
@@ -54,13 +53,12 @@ __all__ = [
     "HostStore",
     "HybridStore",
     "ImageSplit",
-    "OutOfCoreGSScaleSystem",
     "ParameterStore",
+    "Placement",
     "PreloadedShard",
     "ResidentSet",
     "SYSTEM_NAMES",
     "ShardReport",
-    "ShardedGSScaleSystem",
     "ShardedStore",
     "SpatialPatch",
     "StepReport",

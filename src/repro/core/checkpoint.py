@@ -35,6 +35,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from ..gaussians import GaussianModel, layout
 from .integrity import CorruptCheckpointError, atomic_savez
@@ -86,14 +87,21 @@ def save_checkpoint(path: str, system: TrainingSystem) -> None:
 
 
 def _open_checkpoint(path: str):
-    """``np.load`` that reports unreadable files as corruption.
+    """Open a checkpoint archive, reporting unreadable files as corruption.
 
     Version/system/layout *mismatches* are checked by the callers after a
     successful open and stay ``ValueError`` — this wrapper only converts
     "cannot even parse the archive" failures.
     """
     try:
-        return np.load(path, allow_pickle=False)
+        fh = open(path, "rb")
+        try:
+            # the archive takes the handle only once it parses: np.load
+            # would drop it unclosed when a torn file fails to parse
+            return NpzFile(fh, own_fid=True, allow_pickle=False)
+        except BaseException:
+            fh.close()
+            raise
     except (*_CORRUPTION_ERRORS, ValueError) as exc:
         raise CorruptCheckpointError(
             path,

@@ -15,6 +15,9 @@ from ..train.loss import DEFAULT_SSIM_LAMBDA
 #: The paper's system variants (Figure 11's four bars) plus the sharded
 #: multi-device extension (Grendel-style Gaussian sharding over K stores)
 #: and its out-of-core placement tier (TideGS-style disk spill/prefetch).
+#: The last four are presets of one GS-Scale system, each a placement
+#: (shard count, page tier, deferred or not) — see
+#: :class:`repro.core.systems.Placement`.
 SYSTEM_NAMES = (
     "gpu_only",
     "baseline_offload",
@@ -49,17 +52,21 @@ class GSScaleConfig:
         beta1, beta2, eps: Adam hyperparameters (eps=1e-15 per gsplat).
         device_capacity_bytes: optional simulated GPU capacity; the
             engine's MemoryTracker raises MemoryError past it, reproducing
-            the OOM behaviour of Figure 11. For the ``sharded`` system this
-            caps the *aggregate* across shards.
-        num_shards: shard count of the ``sharded`` system (spatial
-            partition of the Gaussian set; ignored by the other systems).
-        shard_workers: >1 fans the sharded system's per-shard culling out
-            over a multiprocessing pool of this size; 0/1 stays serial.
-        shard_device_capacity_bytes: optional per-shard device capacity
-            (each shard's MemoryTracker raises MemoryError past it).
+            the OOM behaviour of Figure 11. For the ``sharded`` and
+            ``outofcore`` presets this caps the *aggregate* across shards.
+        num_shards: shard count K (spatial partition of the Gaussian set)
+            of the ``sharded`` and ``outofcore`` presets; ``gsscale`` and
+            ``gsscale_no_deferred`` are K=1, and the non-GS-Scale systems
+            do not shard.
+        shard_workers: >1 fans the per-shard culling (and, with the
+            ``fragment`` engine, the per-shard renders) of a K>1 preset
+            out over a multiprocessing pool of this size; 0/1 stays serial.
+        shard_device_capacity_bytes: optional per-shard device capacity of
+            the GS-Scale presets (each shard's MemoryTracker raises
+            MemoryError past it; at K=1 the one shard is the device).
         spill_dir: directory of the ``outofcore`` system's memory-mapped
-            spill files; ``None`` uses a temporary directory that dies
-            with the system (a caller-provided directory is never
+            spill files; ``None`` uses a temporary directory removed by
+            the system's ``close()`` (a caller-provided directory is never
             deleted).
         resident_shards: how many shards' non-geometric host state the
             ``outofcore`` system keeps paged into host DRAM at once (the
@@ -68,9 +75,9 @@ class GSScaleConfig:
             with compute: a background worker snapshots the *next* view's
             spilled shards (``DiskStore.preload``, double-buffered) while
             the current view renders, and the next step adopts the
-            buffers instead of reading disk on the critical path. Needs a
-            next-view hint (``OutOfCoreGSScaleSystem.hint_next_view``;
-            the :class:`~repro.core.trainer.Trainer` issues it
+            buffers instead of reading disk on the critical path. Needs
+            upcoming-view hints (``TrainingSystem.hint_upcoming_views``;
+            the :class:`~repro.core.trainer.Trainer` issues them
             automatically). Numerics and ledger traffic are identical to
             the synchronous schedule — only the stall moves off the
             critical path.
@@ -114,7 +121,8 @@ class GSScaleConfig:
         raster: rasterizer thresholds and backend selection.
         engine: one-shot convenience override for ``raster.engine`` — one
             of :data:`repro.render.rasterize.ENGINES` (``"reference"``,
-            ``"tiled"``, ``"vectorized"``). Every training system and
+            ``"tiled"``, ``"vectorized"``, ``"parallel"``,
+            ``"fragment"``). Every training system and
             benchmark renders through this backend; ``None`` keeps whatever
             ``raster`` says. The override is folded into ``raster`` and
             reset to ``None`` during construction, so ``raster.engine`` is

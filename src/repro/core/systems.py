@@ -13,25 +13,21 @@ gradients back):
 * :class:`BaselineOffloadSystem` — Section 4.1: one
   :class:`~repro.core.stores.HostStore` over all 59 columns, full rows
   staged per iteration, dense Adam on the host.
-* :class:`GSScaleSystem` — Sections 4.2-4.4: a
+* :class:`GSScaleSystem` — Sections 4.2-4.4 over a :class:`Placement`
+  (shard count K, page tier, deferred or not): per shard a
   :class:`~repro.core.stores.HybridStore` of a device-resident geometric
-  block (selective offloading) and a forwarding host store (parameter
-  forwarding + lazy commits, optionally deferred), with balance-aware
-  image splitting.
-* :class:`ShardedGSScaleSystem` — the Grendel/TideGS regime on top of the
-  same stores: the Gaussian set is spatially partitioned into K shards,
-  each backed by its own hybrid store with a per-shard device tracker and
-  transfer ledger (one simulated GPU per shard), per-view shard activation
-  via frustum culling, host-side gradient aggregation across shards, and
-  an optional multiprocessing fan-out of the per-shard work — culling
-  always, and with the ``fragment`` raster engine the full per-shard
-  render pipeline (no shard's rows are ever gathered into a packed
-  union matrix).
-* :class:`OutOfCoreGSScaleSystem` — the sharded system with an out-of-core
-  host tier: each shard's non-geometric state spills to memory-mapped
-  files and only ``resident_shards`` shards occupy host DRAM at once,
-  with per-view spill/prefetch and disk traffic metered on the ledger's
-  page channel.
+  block (selective offloading) and a forwarding non-geometric store
+  (parameter forwarding + lazy commits, optionally deferred), with
+  balance-aware image splitting. The four GS-Scale presets of
+  :data:`~repro.core.config.SYSTEM_NAMES` are placements of this one
+  class: ``gsscale`` (K=1, host, deferred), ``gsscale_no_deferred`` (K=1,
+  host), ``sharded`` (K shards on the host — the Grendel regime) and
+  ``outofcore`` (K shards paged from disk through a bounded resident
+  set — TideGS).
+
+Systems that own threads, pools or temporary spill directories release
+them in :meth:`TrainingSystem.close` (or on leaving a ``with`` block);
+:meth:`TrainingSystem.finalize` only settles the optimizer math.
 
 A :class:`~repro.sim.memory.MemoryTracker` accounts device bytes in fp32
 equivalents, so OOM behaviour and peak-memory ratios can be asserted
@@ -43,7 +39,10 @@ in ``docs/architecture.md``.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import threading
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 
@@ -190,10 +189,10 @@ class StepReport:
 
 @dataclass
 class ShardReport:
-    """Per-shard accounting snapshot of a :class:`ShardedGSScaleSystem`.
+    """Per-shard accounting snapshot of a :class:`GSScaleSystem`.
 
-    ``page_in_bytes``/``page_out_bytes`` stay zero unless the shard's host
-    state lives in the out-of-core tier.
+    ``page_in_bytes``/``page_out_bytes`` stay zero, and ``resident``
+    true, unless the shard's host state lives in the disk tier.
     """
 
     shard: int
@@ -206,6 +205,7 @@ class ShardReport:
     d2h_count: int
     page_in_bytes: int = 0
     page_out_bytes: int = 0
+    resident: bool = True
 
 
 @dataclass
@@ -218,12 +218,11 @@ class _RegionOutput:
     ssim: float
 
 
-def _cull_shard_task(args):
-    """Worker task for the sharded system's culling fan-out (module-level
-    so it pickles under ``multiprocessing``)."""
+def _cull_shard_task(args) -> CullResult:
+    """One shard's frustum cull; module-level so the ``shard_workers``
+    fan-out can pickle it."""
     means, log_scales, quats, camera = args
-    res = frustum_cull(means, log_scales, quats, camera)
-    return res.valid_ids, res.num_in_depth
+    return frustum_cull(means, log_scales, quats, camera)
 
 
 def locality_view_order(cameras: list[Camera]) -> np.ndarray:
@@ -298,8 +297,32 @@ class TrainingSystem(ABC):
         return GaussianModel(self.store.materialize())
 
     def finalize(self) -> None:
-        """Commit any pending/lazy state (end of training)."""
+        """Commit any pending/lazy state — the optimizer math only.
+
+        Training may continue afterwards (mid-run checkpoints and
+        densification finalize too); :meth:`close` releases resources.
+        """
         self.store.flush()
+
+    def close(self) -> None:
+        """Release pools, threads and temporary files (idempotent). The
+        in-memory placements hold none."""
+
+    def __enter__(self) -> "TrainingSystem":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @property
+    def prefetch_depth(self) -> int:
+        """How many upcoming views :meth:`hint_upcoming_views` can use
+        (0: the system does not prefetch)."""
+        return 0
+
+    def hint_upcoming_views(self, cameras: list[Camera]) -> None:
+        """Announce the next views, nearest first (ignored unless the
+        system prefetches)."""
 
     def rebuild(self, model: GaussianModel) -> None:
         """Re-place parameters after a structural change (densification)."""
@@ -397,9 +420,9 @@ class TrainingSystem(ABC):
         """One region's stage -> render -> backward -> unstage cycle.
 
         The default path stages the whole visible union through the store
-        composition and renders it jointly; the sharded systems override
-        this for the ``fragment`` engine to render shard by shard without
-        ever assembling the union's packed matrix.
+        composition and renders it jointly; a sharded GS-Scale placement
+        overrides this for the ``fragment`` engine to render shard by
+        shard without ever assembling the union's packed matrix.
         """
         with _span("train/stage", "train"):
             values = self.store.stage(ids)
@@ -421,7 +444,7 @@ class TrainingSystem(ABC):
     def _aggregate(regions: list[_RegionOutput]) -> _RegionOutput:
         """Sum per-region gradients on the "host" (Section 4.4: gradients
         are aggregated on the CPU, then a single optimizer update runs).
-        The sharded system funnels every shard's regions through the same
+        Sharded placements funnel every shard's regions through the same
         path — host-side aggregation across shards."""
         if len(regions) == 1:
             return regions[0]
@@ -526,17 +549,6 @@ class GPUOnlySystem(TrainingSystem):
             self.memory,
         )
 
-    # legacy surface (tests and schedules poke the raw arrays)
-    @property
-    def params(self) -> np.ndarray:
-        """Device-resident packed parameters."""
-        return self.store.params
-
-    @property
-    def optimizer(self):
-        """The dense device optimizer."""
-        return self.store.optimizer
-
     def checkpoint_entries(self):
         return [("", self.store, None)]
 
@@ -559,146 +571,111 @@ class BaselineOffloadSystem(TrainingSystem):
             self.ledger,
         )
 
-    @property
-    def host_params(self) -> np.ndarray:
-        """Host-resident packed parameters."""
-        return self.store.params
-
-    @property
-    def optimizer(self):
-        """The dense host optimizer."""
-        return self.store.optimizer
-
     def checkpoint_entries(self):
         return [("", self.store, None)]
 
 
-class GSScaleSystem(TrainingSystem):
-    """GS-Scale with selective offloading, parameter forwarding, optional
-    deferred optimizer update, and balance-aware image splitting."""
+@dataclass(frozen=True)
+class Placement:
+    """Where a GS-Scale system keeps its parameters.
 
-    name = "gsscale"
-    splits_images = True
-
-    def __init__(
-        self, model: GaussianModel, config: GSScaleConfig, deferred: bool = True
-    ):
-        self.deferred = deferred
-        super().__init__(model, config)
-        if not deferred:
-            self.name = "gsscale_no_deferred"
-
-    def _setup(self, model: GaussianModel) -> None:
-        self._num_gaussians = model.num_gaussians
-        cfg = self.config
-        # selective offloading: geometric block + its optimizer state live
-        # on the device (Section 4.2.1)
-        self._geo_store = DeviceStore(
-            model.geometric,
-            layout.GEOMETRIC_BLOCK,
-            cfg.adam_config(self._lr[layout.GEOMETRIC_SLICE]),
-            self.memory,
-            label="geo",
-        )
-        # the non-geometric block stays on the host behind the forwarding
-        # pipeline (peeked staging + lazy commits, Sections 4.2.2/4.3)
-        self._host_store = HostStore(
-            model.non_geometric,
-            layout.NON_GEOMETRIC_BLOCK,
-            cfg.adam_config(self._lr[layout.NON_GEOMETRIC_SLICE]),
-            self.memory,
-            self.ledger,
-            forwarding=True,
-            deferred=self.deferred,
-            max_defer=cfg.max_defer,
-        )
-        self.store = HybridStore([self._geo_store, self._host_store])
-
-    # legacy surface (checkpointing tests and splitting tests poke these)
-    @property
-    def device_geo(self) -> np.ndarray:
-        """Device-resident geometric block."""
-        return self._geo_store.params
-
-    @property
-    def geo_optimizer(self):
-        """Dense device optimizer of the geometric block."""
-        return self._geo_store.optimizer
-
-    @property
-    def host_non_geo(self) -> np.ndarray:
-        """Host-resident non-geometric block (last committed values)."""
-        return self._host_store.params
-
-    @property
-    def host_optimizer(self):
-        """Host optimizer (deferred or dense) of the non-geometric block."""
-        return self._host_store.optimizer
-
-    @property
-    def _pending_ids(self):
-        return self._host_store._pending_ids
-
-    @_pending_ids.setter
-    def _pending_ids(self, value):
-        self._host_store._pending_ids = value
-
-    @property
-    def _pending_grads(self):
-        return self._host_store._pending_grads
-
-    @_pending_grads.setter
-    def _pending_grads(self, value):
-        self._host_store._pending_grads = value
-
-    def checkpoint_entries(self):
-        return [("geo", self._geo_store, None), ("host", self._host_store, None)]
-
-
-class ShardedGSScaleSystem(TrainingSystem):
-    """GS-Scale over a spatial partition of the Gaussian set (K shards).
-
-    Each shard is a hybrid store (device geometric + forwarding host
-    non-geometric) with its own :class:`~repro.sim.memory.MemoryTracker`
-    (capped by ``shard_device_capacity_bytes``) and
-    :class:`TransferLedger`, both rolling up into the system-wide
-    aggregates — one simulated GPU per shard, as in Grendel's
-    Gaussian-sharded training and TideGS's out-of-core blocks.
-
-    Per view, every shard frustum-culls its own geometry (shards entirely
-    outside the frustum are skipped: no staging, no traffic). Rendering
-    depends on the engine: by default the visible union is staged and
-    renders jointly (the Grendel gather); with the ``fragment`` engine the
-    union is never assembled — each shard stages, projects, and
-    rasterizes its own rows, and the host composites per-shard fragment
-    buffers (:meth:`_render_region_fragment`), with
-    ``shard_workers`` running the per-shard pipelines on a process pool.
-    ``shard_workers > 1`` also fans the per-shard culling out over a
-    ``multiprocessing`` pool (fork start method; falls back to serial
-    where unavailable). Training numerics are independent of K and of the
-    fan-out: with K=1 the system is exactly :class:`GSScaleSystem`.
+    The triple every GS-Scale preset reduces to: ``num_shards`` spatial
+    shards (one simulated GPU each), the ``tier`` of each shard's
+    non-geometric block (``"host"`` DRAM, or ``"disk"`` — memory-mapped
+    spill files paged through a bounded resident set), and whether the
+    host optimizer is ``deferred``.
     """
 
-    name = "sharded"
+    num_shards: int
+    tier: str
+    deferred: bool
+
+    @classmethod
+    def of(cls, config: GSScaleConfig) -> "Placement":
+        """The placement of ``config.system``'s preset."""
+        if config.system in ("gsscale", "gsscale_no_deferred"):
+            return cls(1, "host", config.system == "gsscale")
+        if config.system == "sharded":
+            return cls(config.num_shards, "host", True)
+        if config.system == "outofcore":
+            return cls(config.num_shards, "disk", True)
+        raise ValueError(f"{config.system!r} is not a GS-Scale preset")
+
+
+class GSScaleSystem(TrainingSystem):
+    """GS-Scale: selective offloading, parameter forwarding, optional
+    deferred optimizer update, and balance-aware image splitting, over a
+    :class:`Placement` read off the preset.
+
+    The Gaussian set is spatially partitioned into K shards. Each shard is
+    a :class:`~repro.core.stores.HybridStore` of a device-resident
+    geometric block and a forwarding non-geometric block, with its own
+    :class:`~repro.sim.memory.MemoryTracker` (capped by
+    ``shard_device_capacity_bytes``) and :class:`TransferLedger`, both
+    rolling up into the system-wide aggregates — one simulated GPU per
+    shard, as in Grendel's Gaussian-sharded training. At K=1 the single
+    hybrid store *is* the system's store (no row re-indexing); at K>1 a
+    :class:`~repro.core.stores.ShardedStore` routes rows to shards.
+
+    Per view every shard frustum-culls its own geometry (shards outside
+    the frustum are skipped: no staging, no traffic); ``shard_workers > 1``
+    fans those culls out over a process pool. Rendering stages the
+    visible union and renders it jointly, except with the ``fragment``
+    engine at K>1, where each shard stages, projects and rasterizes its
+    own rows and the host composites per-shard fragment buffers
+    (:meth:`_render_region_fragment`) — the union is never assembled.
+
+    With the ``disk`` tier (TideGS-style out-of-core blocks) each shard's
+    non-geometric block is a :class:`~repro.core.stores.DiskStore` and at
+    most ``resident_shards`` shards occupy host DRAM at once; each step
+    pages the view's active shards in, trains, and spills the rest. The
+    paging leg (:class:`_PagingLeg`) owns the spill directory, the async
+    prefetcher, the write-behind writer and the paging counters.
+
+    Training numerics are independent of K, of the fan-out, and of the
+    tier: ``sharded`` at K=1 is bit-exact ``gsscale``, and ``outofcore``
+    is bit-identical to ``sharded`` (under the raw/lossless codecs).
+    """
+
     splits_images = True
+
+    def __init__(self, model: GaussianModel, config: GSScaleConfig):
+        self.name = config.system
+        self.placement = Placement.of(config)
+        self._pool: PersistentPool | None = None
+        #: the step's whole-view cull, computed while paging the view in
+        #: and reused by region planning (geometry is immutable until the
+        #: gradients land)
+        self._cull_cache: tuple[Camera, CullResult] | None = None
+        self._pager = (
+            _PagingLeg(config, self) if self.placement.tier == "disk" else None
+        )
+        try:
+            super().__init__(model, config)
+        except BaseException:
+            self.close()  # a failed build must not strand the paging leg
+            raise
 
     def _setup(self, model: GaussianModel) -> None:
         self._num_gaussians = model.num_gaussians
         cfg = self.config
-        # the culling pool persists across densification rebuilds — only
-        # finalize() (or interpreter exit) tears it down
-        self._pool = getattr(self, "_pool", None)
-        self.shard_rows = spatial_partition(model.means, cfg.num_shards)
+        k_shards = self.placement.num_shards
+        if self._pager is not None:
+            self._pager.reset()
+        self.shard_rows = spatial_partition(model.means, k_shards)
         self.shard_trackers: list[MemoryTracker] = []
         self.shard_ledgers: list[TransferLedger] = []
-        shard_stores: list[ParameterStore] = []
+        self._shards: list[HybridStore] = []
         for k, rows in enumerate(self.shard_rows):
             tracker = MemoryTracker(
                 capacity_bytes=cfg.shard_device_capacity_bytes,
                 parent=self.memory,
             )
             ledger = TransferLedger(parent=self.ledger)
-            sub = model.params[rows]
+            # one shard spans every row in order: no gather copy
+            sub = model.params if k_shards == 1 else model.params[rows]
+            # selective offloading: geometric block + its optimizer state
+            # live on the device (Section 4.2.1)
             geo = DeviceStore(
                 sub[:, layout.GEOMETRIC_SLICE],
                 layout.GEOMETRIC_BLOCK,
@@ -706,44 +683,53 @@ class ShardedGSScaleSystem(TrainingSystem):
                 tracker,
                 label="geo",
             )
-            host = self._make_nongeo_store(
+            # the non-geometric block stays behind the forwarding pipeline
+            # (peeked staging + lazy commits, Sections 4.2.2/4.3)
+            host = self._nongeo_placement(
                 sub[:, layout.NON_GEOMETRIC_SLICE], tracker, ledger, k
             )
-            shard_stores.append(HybridStore([geo, host]))
+            self._shards.append(HybridStore([geo, host]))
             self.shard_trackers.append(tracker)
             self.shard_ledgers.append(ledger)
-        self.store = ShardedStore(self.shard_rows, shard_stores)
+        if k_shards == 1:
+            self.store = self._shards[0]
+        else:
+            self.store = ShardedStore(self.shard_rows, self._shards)
 
-    def _make_nongeo_store(
+    def _nongeo_placement(
         self,
         params_block: np.ndarray,
         tracker: MemoryTracker,
         ledger: TransferLedger,
         k: int,
     ) -> ParameterStore:
-        """Placement of shard ``k``'s non-geometric block (overridable:
-        the out-of-core system swaps in a :class:`DiskStore` here)."""
+        """Shard ``k``'s non-geometric store on the placement's tier."""
         cfg = self.config
+        adam = cfg.adam_config(self._lr[layout.NON_GEOMETRIC_SLICE])
+        if self._pager is not None:
+            return self._pager.make_store(
+                params_block, adam, tracker, ledger, k, self.placement.deferred
+            )
         return HostStore(
             params_block,
             layout.NON_GEOMETRIC_BLOCK,
-            cfg.adam_config(self._lr[layout.NON_GEOMETRIC_SLICE]),
+            adam,
             tracker,
             ledger,
             forwarding=True,
-            deferred=True,
+            deferred=self.placement.deferred,
             max_defer=cfg.max_defer,
         )
 
-    # -- distributed culling ----------------------------------------------
     @property
     def num_shards(self) -> int:
         """Number of shards (stores/devices)."""
-        return len(self.shard_rows)
+        return len(self._shards)
 
-    def _shard_geometry(self, k: int):
-        return self.store.stores[k].geometry()
+    def _nongeo_store(self, k: int) -> ParameterStore:
+        return self._shards[k].children[1]
 
+    # -- per-shard culling -------------------------------------------------
     def _get_pool(self) -> PersistentPool | None:
         if self.config.shard_workers <= 1 or self.num_shards <= 1:
             return None
@@ -755,52 +741,57 @@ class ShardedGSScaleSystem(TrainingSystem):
             )
         return self._pool
 
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+    def _shard_culls(self, camera: Camera, pooled: bool = True) -> list[CullResult]:
+        """Each shard's frustum cull of its own geometry (shard-local ids).
 
-    def _count_visible(self, camera: Camera) -> int:
-        # the split search probes ~12 cropped cameras per split view;
-        # counting is cheap, so it stays serial instead of re-shipping
-        # every shard's geometry through the pool per probe
-        return sum(
-            frustum_cull(*self._shard_geometry(k), camera).num_visible
-            for k in range(self.num_shards)
-        )
-
-    def _cull(self, camera: Camera) -> CullResult:
-        """Union of per-shard frustum culls, in global id order.
-
-        Culling is per-Gaussian, so the union over a partition equals the
-        unsharded cull bit-for-bit; each shard's pass is the work its own
-        device would do. The ``shard_workers`` fan-out ships each shard's
-        geometry per call (the geometric block mutates every step, so
-        workers cannot cache it); with image splitting off that is one
-        dispatch per step.
+        The work each shard's device would do. ``pooled`` runs them
+        through the ``shard_workers`` pool, shipping each shard's geometry
+        per call (the geometric block mutates every step, so workers
+        cannot cache it); the split search's probes and the prefetch
+        thread stay serial.
         """
-        tasks = [self._shard_geometry(k) + (camera,) for k in range(self.num_shards)]
-        pool = self._get_pool()
+        tasks = [self._shards[k].geometry() + (camera,) for k in range(self.num_shards)]
+        pool = self._get_pool() if pooled else None
         if pool is not None:
-            results = pool.map(_cull_shard_task, tasks)
-        else:
-            results = [_cull_shard_task(t) for t in tasks]
-        parts = [
-            rows[local]
-            for rows, (local, _) in zip(self.shard_rows, results)
-            if local.size
+            return pool.map(_cull_shard_task, tasks)
+        return [_cull_shard_task(t) for t in tasks]
+
+    def _union(self, parts: list[CullResult]) -> CullResult:
+        """Per-shard culls as one cull in global id order. Culling is
+        per-Gaussian, so the union over a partition equals the unsharded
+        cull bit for bit."""
+        if len(parts) == 1:
+            return parts[0]  # one shard spans every row: local ids are global
+        ids = [
+            rows[r.valid_ids]
+            for rows, r in zip(self.shard_rows, parts)
+            if r.num_visible
         ]
-        valid = (
-            np.sort(np.concatenate(parts))
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
+        valid = np.sort(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
         return CullResult(
             valid_ids=valid,
             num_total=self._num_gaussians,
-            num_in_depth=int(sum(r[1] for r in results)),
+            num_in_depth=int(sum(r.num_in_depth for r in parts)),
             num_visible=int(valid.size),
         )
+
+    def _cull(self, camera: Camera) -> CullResult:
+        if self._cull_cache is not None and self._cull_cache[0] is camera:
+            return self._cull_cache[1]
+        return self._union(self._shard_culls(camera))
+
+    def _count_visible(self, camera: Camera) -> int:
+        # the split search probes ~12 cropped cameras per split view;
+        # counting is cheap, so it stays serial
+        return sum(r.num_visible for r in self._shard_culls(camera, pooled=False))
+
+    def active_shard_ids(self, camera: Camera) -> list[int]:
+        """Shards with at least one Gaussian inside ``camera``'s frustum."""
+        return [
+            k
+            for k, r in enumerate(self._shard_culls(camera, pooled=False))
+            if r.num_visible
+        ]
 
     # -- fragment-parallel region rendering -------------------------------
     def _fragment_raster_config(self) -> RasterConfig:
@@ -826,9 +817,9 @@ class ShardedGSScaleSystem(TrainingSystem):
         gt_region: np.ndarray,
         weight: float,
     ) -> _RegionOutput:
-        if self.raster_engine != "fragment":
-            return super()._render_region(ids, region_cam, gt_region, weight)
-        return self._render_region_fragment(ids, region_cam, gt_region, weight)
+        if self.raster_engine == "fragment" and self.num_shards > 1:
+            return self._render_region_fragment(ids, region_cam, gt_region, weight)
+        return super()._render_region(ids, region_cam, gt_region, weight)
 
     def _render_region_fragment(
         self,
@@ -871,7 +862,7 @@ class ShardedGSScaleSystem(TrainingSystem):
             projs = []
             for k in active:
                 _, local = members[k]
-                store = self.store.stores[k]
+                store = self._shards[k]
                 values = store.stage(local)
                 try:
                     shard = GaussianModel(values)
@@ -918,7 +909,7 @@ class ShardedGSScaleSystem(TrainingSystem):
             for j, k in enumerate(active):
                 sel, local = members[k]
                 sl = slice(int(offsets[j]), int(offsets[j + 1]))
-                store = self.store.stores[k]
+                store = self._shards[k]
                 values = store.stage(local)
                 returned = False
                 try:
@@ -953,6 +944,171 @@ class ShardedGSScaleSystem(TrainingSystem):
             ssim=loss.ssim,
         )
 
+    # -- the disk tier's per-view paging ----------------------------------
+    @property
+    def host_memory(self) -> MemoryTracker | None:
+        """Host tracker of the disk tier's resident working set (``None``
+        on the host tier, whose host state is not paged)."""
+        return self._pager.host_memory if self._pager is not None else None
+
+    @property
+    def resident_set(self) -> ResidentSet | None:
+        """The disk tier's residency budget (``None`` on the host tier)."""
+        return self._pager.resident_set if self._pager is not None else None
+
+    @property
+    def prefetch_hits(self) -> int:
+        """Shards a hinted view found staged or still resident (whole run)."""
+        return self._pager.prefetch_hits if self._pager is not None else 0
+
+    @property
+    def prefetch_misses(self) -> int:
+        """Shards a hinted view still had to read synchronously (whole run)."""
+        return self._pager.prefetch_misses if self._pager is not None else 0
+
+    @property
+    def prefetch_depth(self) -> int:
+        """Lookahead depth of the async staging queue (1 = the classic
+        double buffer; 0 when the async leg is off)."""
+        if self._pager is None or self._pager.prefetcher is None:
+            return 0
+        return self._pager.prefetcher.depth
+
+    @property
+    def prefetch_staged_peak_bytes(self) -> int:
+        """High-water host bytes of the async leg's staging queue.
+
+        Not part of ``host_memory`` (the installed working set the
+        resident budget bounds): the buffers belong to the background
+        thread until adoption. The modeled counterpart is the
+        ``staging_shards`` term of
+        :func:`repro.sim.memory.outofcore_host_state_bytes` — add the
+        two when sizing host DRAM for an async run.
+        """
+        if self._pager is None or self._pager.prefetcher is None:
+            return 0
+        return self._pager.prefetcher.peak_staged_bytes
+
+    @property
+    def sync_spill_bytes(self) -> int:
+        """Decoded bytes spilled *synchronously* on the training thread,
+        cumulative across densification rebuilds — the admit-path disk
+        stall in deterministic byte units. Write-behind runs keep this at
+        zero (every page-out rides the background writer); synchronous
+        runs accumulate the full page-out traffic here."""
+        return self._pager.sync_spill_bytes if self._pager is not None else 0
+
+    @property
+    def sync_spill_seconds(self) -> float:
+        """Wall-clock seconds the training thread spent in synchronous
+        page-out writes (informational; byte counters are the
+        deterministic comparison)."""
+        return self._pager.sync_spill_seconds if self._pager is not None else 0.0
+
+    @property
+    def write_behind_jobs(self) -> int:
+        """Page-outs completed by the background writer, cumulative
+        across rebuilds (0 unless ``write_behind`` is on)."""
+        if self._pager is None or self._pager.writer is None:
+            return 0
+        return self._pager.writer.jobs_written
+
+    def hint_upcoming_views(self, cameras: list[Camera]) -> None:
+        """Tell the async prefetch leg the next several views, nearest
+        first. With ``async_prefetch`` on, the next :meth:`step` starts a
+        background worker that snapshots the first ``prefetch_depth`` of
+        them while the current view renders; a later step adopts the
+        buffers instead of stalling on the disk read. A no-op otherwise,
+        so callers can hint unconditionally."""
+        if self.prefetch_depth:
+            self._pager.pending_hints = list(cameras)
+
+    def prefetch(self, camera: Camera) -> list[int]:
+        """Page in the view's active shards (up to the resident budget).
+
+        The synchronous anchor of the pipeline: whatever the async leg
+        managed to stage for ``camera`` is adopted here (same ledger
+        records, same accounting — the read already happened off the
+        critical path); everything else pages in on demand. The
+        whole-view cull this needs (run through the ``shard_workers``
+        pool when enabled) is cached and reused by the step's own region
+        planning, so prefetching adds no culling work.
+        """
+        pager = self._pager
+        prefetcher = pager.prefetcher
+        if prefetcher is not None:
+            hinted, staged = prefetcher.take(camera)
+        else:
+            hinted, staged = False, {}
+        parts = self._shard_culls(camera)
+        self._cull_cache = (camera, self._union(parts))
+        active = [k for k, r in enumerate(parts) if r.num_visible]
+        for k in active[: pager.resident_set.budget]:
+            store = self._nongeo_store(k)
+            pre = staged.pop(k, None)
+            if pre is not None and store.adopt(pre):
+                pager.prefetch_hits += 1
+                continue
+            if hinted and store.is_resident:
+                # already resident at a hinted view: the retention the
+                # depth-D queue buys (the shard never left host DRAM), as
+                # much a staging hit as an adopted snapshot
+                pager.prefetch_hits += 1
+            elif hinted:
+                # a miss only when the async leg had its chance: a staging
+                # job ran for this very view and still failed to cover the
+                # shard (stale snapshot, wrong prediction, racing spill)
+                pager.prefetch_misses += 1
+            store.page_in()
+        # this view's working set is settled: start staging the hinted
+        # upcoming views in the background, overlapped with the render
+        pager.scheduled_hints = []
+        if prefetcher is not None and pager.pending_hints:
+            hints, pager.pending_hints = pager.pending_hints, []
+            nxt = [c for c in hints if c is not camera][: prefetcher.depth]
+            if nxt:
+                pager.scheduled_hints = nxt
+                prefetcher.schedule(nxt)
+        return active
+
+    def spill_inactive(self, active: list[int]) -> None:
+        """Spill every resident shard the view left untouched.
+
+        At ``prefetch_depth > 1`` the scheduled lookahead also protects
+        shards the *upcoming* views need (nearest view first, while the
+        keep-set stays inside the resident budget): spilling a shard the
+        staging queue just snapshotted — or that the next view will page
+        right back in — is the D=1 thrash the depth-D queue exists to
+        avoid. Depth 1 keeps the historical behavior exactly.
+        """
+        keep = set(active)
+        budget = self._pager.resident_set.budget
+        if self.prefetch_depth > 1:
+            for cam in self._pager.scheduled_hints:
+                if len(keep) >= budget:
+                    break
+                for k in self.active_shard_ids(cam):
+                    if len(keep) >= budget:
+                        break
+                    keep.add(k)
+        for k in range(self.num_shards):
+            store = self._nongeo_store(k)
+            if k not in keep and store.is_resident:
+                store.spill()
+
+    def step(self, camera: Camera, gt_image: np.ndarray) -> StepReport:
+        if self._pager is None:
+            return super().step(camera, gt_image)
+        with _span("train/prefetch", "train"):
+            active = self.prefetch(camera)
+        try:
+            report = super().step(camera, gt_image)
+        finally:
+            self._cull_cache = None  # geometry mutates at step end
+        with _span("train/spill", "train"):
+            self.spill_inactive(active)
+        return report
+
     # -- reporting / lifecycle --------------------------------------------
     #: ledger counters a :class:`ShardReport` carries, verbatim
     _SHARD_LEDGER_FIELDS = (
@@ -962,45 +1118,172 @@ class ShardedGSScaleSystem(TrainingSystem):
 
     def shard_reports(self) -> list[ShardReport]:
         """Per-shard memory and traffic accounting."""
-        return [
-            ShardReport(
-                shard=k,
-                num_gaussians=int(rows.size),
-                peak_bytes=tracker.peak_bytes,
-                live_bytes=tracker.live_bytes,
-                **{
-                    f: ledger.counts()[f]
-                    for f in self._SHARD_LEDGER_FIELDS
-                },
+        reports = []
+        for k, (rows, tracker, ledger) in enumerate(
+            zip(self.shard_rows, self.shard_trackers, self.shard_ledgers)
+        ):
+            counts = ledger.counts()
+            reports.append(
+                ShardReport(
+                    shard=k,
+                    num_gaussians=int(rows.size),
+                    peak_bytes=tracker.peak_bytes,
+                    live_bytes=tracker.live_bytes,
+                    resident=(
+                        self._pager is None or self._nongeo_store(k).is_resident
+                    ),
+                    **{f: counts[f] for f in self._SHARD_LEDGER_FIELDS},
+                )
             )
-            for k, (rows, tracker, ledger) in enumerate(
-                zip(self.shard_rows, self.shard_trackers, self.shard_ledgers)
-            )
-        ]
+        return reports
 
     def finalize(self) -> None:
         super().finalize()
-        self._close_pool()
+        # the checkpoint fence: save_checkpoint finalizes first, so every
+        # queued page-out (including ones the flush's own evictions just
+        # enqueued) lands before any state is serialized. Drain, don't
+        # close: training may continue (mid-run checkpoints, densify).
+        if self._pager is not None and self._pager.writer is not None:
+            self._pager.writer.drain()
 
-    def rebuild(self, model: GaussianModel) -> None:
-        # keep the pool: workers are stateless (geometry ships per call),
-        # and respawning K processes per densification dominated short
-        # runs before the pool became persistent
-        super().rebuild(model)
-
-    def __del__(self):
-        try:
-            self._close_pool()
-        except Exception:
-            pass
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+        if self._pager is not None:
+            self._pager.close()
 
     def checkpoint_entries(self):
+        if self.num_shards == 1:
+            return [("geo", self._shards[0].children[0], None),
+                    ("host", self._shards[0].children[1], None)]
         entries = []
         for k, rows in enumerate(self.shard_rows):
-            hybrid = self.store.stores[k]
+            hybrid = self._shards[k]
             entries.append((f"shard{k}_geo", hybrid.children[0], rows))
             entries.append((f"shard{k}_host", hybrid.children[1], rows))
         return entries
+
+
+class _PagingLeg:
+    """The disk tier of a :class:`GSScaleSystem` (TideGS-style paging).
+
+    Owns what outlives one store composition: the spill directory
+    (``GSScaleConfig.spill_dir``, or a temporary one removed by
+    :meth:`close`), the async prefetcher, the write-behind writer, and
+    the run's paging counters. :meth:`reset` fences both background legs
+    before the system (re)builds its stores and hands out a fresh
+    resident set and host tracker — live-state accounting resets with a
+    rebuild like the device trackers do, while the counters carry over.
+
+    Three deep-tier knobs extend the leg (all default-off, preserving
+    bit-identity with the host tier): ``page_codec`` stores spilled pages
+    compressed (see :mod:`repro.core.pagecodec`; ``lossless`` keeps
+    bit-identity, ``float16`` trades tolerance-bounded drift for a 2x
+    smaller disk leg), ``prefetch_depth`` widens the async leg's
+    lookahead to a depth-D staging queue, and ``write_behind`` moves dirty
+    page-outs to a background writer (epoch-fenced against
+    :meth:`~repro.core.stores.DiskStore.adopt` and drained before
+    densification rebuilds and checkpoints) so the admit path stops
+    paying the write.
+    """
+
+    def __init__(self, config: GSScaleConfig, system: GSScaleSystem):
+        self.config = config
+        if config.spill_dir is None:
+            self._spill_tmp: tempfile.TemporaryDirectory | None = (
+                tempfile.TemporaryDirectory(prefix="gsscale-spill-")
+            )
+            self.spill_root = self._spill_tmp.name
+        else:
+            self._spill_tmp = None
+            self.spill_root = config.spill_dir
+        self.writer = _WriteBehindWriter() if config.write_behind else None
+        self.prefetcher = (
+            _AsyncPrefetcher(system, depth=config.prefetch_depth)
+            if config.async_prefetch
+            else None
+        )
+        self.prefetch_hits = 0
+        self.prefetch_misses = 0
+        self.stores: list[DiskStore] = []
+        self._retired_spill_bytes = 0
+        self._retired_spill_s = 0.0
+        self.pending_hints: list[Camera] = []
+        self.scheduled_hints: list[Camera] = []
+
+    def reset(self) -> None:
+        """Fence the background legs and start a new store generation.
+
+        The prefetch thread's staged snapshots belong to the old stores
+        and are dropped, and every queued page-out lands before the new
+        stores reuse the spill files.
+        """
+        if self.prefetcher is not None:
+            self.prefetcher.reset()
+        if self.writer is not None:
+            self.writer.drain()
+        self._retired_spill_bytes += sum(s.sync_spill_bytes for s in self.stores)
+        self._retired_spill_s += sum(s.sync_spill_s for s in self.stores)
+        self.stores = []
+        self.host_memory = MemoryTracker()
+        self.resident_set = ResidentSet(self.config.resident_shards)
+        self.pending_hints = []
+        self.scheduled_hints = []
+
+    def make_store(
+        self,
+        params_block: np.ndarray,
+        adam,
+        tracker: MemoryTracker,
+        ledger: TransferLedger,
+        k: int,
+        deferred: bool,
+    ) -> DiskStore:
+        """Shard ``k``'s non-geometric block as a spill-backed store."""
+        cfg = self.config
+        store = DiskStore(
+            params_block,
+            layout.NON_GEOMETRIC_BLOCK,
+            adam,
+            tracker,
+            ledger,
+            spill_path=os.path.join(self.spill_root, f"shard{k}_host"),
+            host_memory=self.host_memory,
+            resident_set=self.resident_set,
+            forwarding=True,
+            deferred=deferred,
+            max_defer=cfg.max_defer,
+            codec=cfg.page_codec,
+            writer=self.writer,
+            integrity=cfg.page_integrity,
+        )
+        self.stores.append(store)
+        return store
+
+    @property
+    def sync_spill_bytes(self) -> int:
+        return self._retired_spill_bytes + sum(s.sync_spill_bytes for s in self.stores)
+
+    @property
+    def sync_spill_seconds(self) -> float:
+        return self._retired_spill_s + sum(s.sync_spill_s for s in self.stores)
+
+    def close(self) -> None:
+        """Stop the prefetch thread, land and stop the writer, and remove
+        a temporary spill directory (idempotent). Spills after this are
+        synchronous."""
+        try:
+            if self.prefetcher is not None:
+                self.prefetcher.close()
+            if self.writer is not None:
+                for store in self.stores:
+                    store.writer = None
+                self.writer.close()
+        finally:
+            if self._spill_tmp is not None:
+                self._spill_tmp.cleanup()
+                self._spill_tmp = None
 
 
 class _AsyncPrefetcher:
@@ -1026,15 +1309,19 @@ class _AsyncPrefetcher:
     the depth-D staging queue. Host bytes held by the queue are capped
     at ``depth x resident budget x worst shard state`` (the staging
     budget); the worker stops staging deeper views at the cap.
+
+    The worker holds its system weakly, so a system dropped without
+    ``close()`` can still be collected.
     """
 
-    def __init__(self, system: "OutOfCoreGSScaleSystem", depth: int = 1):
-        self._system = system
+    def __init__(self, system: GSScaleSystem, depth: int = 1):
+        self._system = weakref.ref(system)
         self.depth = depth
         self._cameras: list[Camera] = []
-        #: staged snapshots keyed by ``id(camera)`` — identity, not
-        #: equality: the trainer hints the very objects it will train on
-        self._results: dict[int, tuple[Camera, dict]] = {}
+        #: staged ``(camera, buffers, host bytes)`` keyed by ``id(camera)``
+        #: — identity, not equality: the trainer hints the very objects it
+        #: will train on
+        self._results: dict[int, tuple[Camera, dict, int]] = {}
         #: host bytes of the staged queue, current and high-water (kept
         #: here, not on a MemoryTracker: trackers are training-
         #: thread-only, and the buffers are owned by this thread until
@@ -1050,11 +1337,10 @@ class _AsyncPrefetcher:
         )
         self._thread.start()
 
-    def staging_budget_bytes(self) -> int:
+    def staging_budget_bytes(self, system: GSScaleSystem) -> int:
         """Cap on staged host bytes: depth x resident budget x the worst
         shard's state size (never binding at depth 1, where a single
         view can stage at most one budget's worth)."""
-        system = self._system
         worst = max(
             (
                 system._nongeo_store(k)._state_bytes()
@@ -1097,6 +1383,14 @@ class _AsyncPrefetcher:
             return True, entry[1]
         return False, {}
 
+    def reset(self) -> None:
+        """Wait out a running job and drop everything staged (the stores
+        the snapshots came from are being replaced)."""
+        self._done.wait()
+        self._results.clear()
+        self._cameras = []
+        self._refresh_staged()
+
     def close(self) -> None:
         """Stop the worker thread (idempotent)."""
         self._stop = True
@@ -1104,13 +1398,7 @@ class _AsyncPrefetcher:
         self._thread.join(timeout=5.0)
 
     def _refresh_staged(self) -> None:
-        # fp32-equivalent units, like every MemoryTracker in the repo
-        system = self._system
-        self.staged_bytes = sum(
-            system._nongeo_store(k)._state_bytes()
-            for _, buffers in self._results.values()
-            for k in buffers
-        )
+        self.staged_bytes = sum(entry[2] for entry in self._results.values())
         self.peak_staged_bytes = max(self.peak_staged_bytes, self.staged_bytes)
 
     def _run(self) -> None:
@@ -1121,31 +1409,30 @@ class _AsyncPrefetcher:
                 self._done.set()
                 return
             _trace.name_current_thread("gsscale-prefetch")
-            cap = self.staging_budget_bytes()
-            for camera in self._cameras:
+            system = self._system()
+            cameras = self._cameras if system is not None else []
+            cap = self.staging_budget_bytes(system) if cameras else 0
+            for camera in cameras:
                 try:
                     # fork guard: a parallel-raster pool must never fork
                     # while this thread is mid-read (inherited half-held
                     # locks would wedge the child workers)
                     with pool_fork_guard, _span("page/prefetch", "page"):
-                        buffers = self._prepare(camera, cap)
+                        staged = self._prepare(system, camera, cap)
                 except Exception:
-                    buffers = {}  # a failed prefetch is just a cache miss
-                self._results[id(camera)] = (camera, buffers)
+                    staged = ({}, 0)  # a failed prefetch is just a cache miss
+                self._results[id(camera)] = (camera, *staged)
                 self._refresh_staged()
+            del system
             self._done.set()
 
-    def _prepare(self, camera: Camera, cap: int) -> dict:
-        system = self._system
-        active = [
-            k
-            for k in range(system.num_shards)
-            if frustum_cull(*system._shard_geometry(k), camera).num_visible
-        ]
+    def _prepare(self, system: GSScaleSystem, camera: Camera, cap: int) -> tuple[dict, int]:
         buffers = {}
+        staged = 0
         total = self.staged_bytes
-        for k in active[: system.resident_set.budget]:
+        for k in system.active_shard_ids(camera)[: system.resident_set.budget]:
             store = system._nongeo_store(k)
+            # fp32-equivalent units, like every MemoryTracker in the repo
             cost = store._state_bytes()
             if total + cost > cap:
                 break  # staging deeper would blow the host budget
@@ -1153,358 +1440,16 @@ class _AsyncPrefetcher:
             if pre is not None:
                 buffers[k] = pre
                 total += cost
-        return buffers
-
-
-class OutOfCoreGSScaleSystem(ShardedGSScaleSystem):
-    """Sharded GS-Scale with an out-of-core host tier (TideGS-style).
-
-    Identical to :class:`ShardedGSScaleSystem` except each shard's
-    non-geometric block lives in a :class:`~repro.core.stores.DiskStore`:
-    parameters and Adam moments are backed by memory-mapped spill files
-    under ``GSScaleConfig.spill_dir`` (a temporary directory when unset),
-    and at most ``GSScaleConfig.resident_shards`` shards are paged into
-    host DRAM at once (a shared :class:`~repro.core.stores.ResidentSet`).
-    ``self.host_memory`` tracks the resident working set; the ledger's
-    ``page_in``/``page_out`` channel meters the disk traffic.
-
-    Each step prefetches the view's active shards, runs the ordinary
-    sharded step (spilled shards page in on demand; inactive shards with
-    unsaturated defer counters tick without paging at all), then spills
-    whatever the view did not touch. Placement changes accounting, never
-    numerics: the run is bit-identical to the in-memory sharded system.
-
-    Three deep-tier knobs extend the leg (all default-off, preserving the
-    bit-identity above): ``page_codec`` stores spilled pages compressed
-    (see :mod:`repro.core.pagecodec`; ``lossless`` keeps bit-identity,
-    ``float16`` trades tolerance-bounded drift for a 2x smaller disk
-    leg), ``prefetch_depth`` widens the async leg's lookahead to a
-    depth-D staging queue, and ``write_behind`` moves dirty page-outs to
-    a background writer (epoch-fenced against :meth:`~repro.core.stores.
-    DiskStore.adopt` and drained before densification rebuilds and
-    checkpoints) so the admit path stops paying the write.
-    """
-
-    name = "outofcore"
-
-    def _setup(self, model: GaussianModel) -> None:
-        cfg = self.config
-        if cfg.spill_dir is None:
-            import tempfile
-
-            # held on the system so the spill files die with it
-            self._spill_tmp = tempfile.TemporaryDirectory(
-                prefix="gsscale-spill-"
-            )
-            self._spill_root = self._spill_tmp.name
-        else:
-            self._spill_tmp = None
-            self._spill_root = cfg.spill_dir
-        self.host_memory = MemoryTracker()
-        self.resident_set = ResidentSet(cfg.resident_shards)
-        self._cull_cache: tuple[Camera, CullResult] | None = None
-        self.prefetch_hits = 0
-        self.prefetch_misses = 0
-        self._pending_hints: list[Camera] = []
-        self._scheduled_hints: list[Camera] = []
-        # rebuild fences: the old prefetch thread targets old stores, and
-        # every queued page-out must land before the spill files are
-        # reused by the new stores
-        self._close_prefetcher()
-        self._sync_spill_carryover = getattr(self, "_sync_spill_carryover", 0)
-        self._sync_spill_s_carryover = getattr(self, "_sync_spill_s_carryover", 0.0)
-        self._write_behind_carryover = getattr(self, "_write_behind_carryover", 0)
-        if getattr(self, "store", None) is not None:
-            for k in range(self.num_shards):
-                st = self._nongeo_store(k)
-                self._sync_spill_carryover += st.sync_spill_bytes
-                self._sync_spill_s_carryover += st.sync_spill_s
-        self._close_writer()
-        self._prefetch_staged_peak = 0  # rebuild resets accounting, like trackers
-        self._prefetcher = (
-            _AsyncPrefetcher(self, depth=cfg.prefetch_depth)
-            if cfg.async_prefetch
-            else None
-        )
-        self._writer = _WriteBehindWriter() if cfg.write_behind else None
-        super()._setup(model)
-
-    @property
-    def prefetch_staged_peak_bytes(self) -> int:
-        """High-water host bytes of the async leg's staged double buffer.
-
-        Not part of ``host_memory`` (the installed working set the
-        resident budget bounds): the buffers belong to the background
-        thread until adoption. The modeled counterpart is the
-        ``staging_shards`` term of
-        :func:`repro.sim.memory.outofcore_host_state_bytes` — add the
-        two when sizing host DRAM for an async run.
-        """
-        if self._prefetcher is None:
-            return self._prefetch_staged_peak
-        return max(self._prefetch_staged_peak, self._prefetcher.peak_staged_bytes)
-
-    def _close_prefetcher(self) -> None:
-        prefetcher = getattr(self, "_prefetcher", None)
-        if prefetcher is not None:
-            self._prefetch_staged_peak = max(
-                getattr(self, "_prefetch_staged_peak", 0),
-                prefetcher.peak_staged_bytes,
-            )
-            prefetcher.close()
-            self._prefetcher = None
-
-    def _close_writer(self) -> None:
-        """Drain and stop the write-behind writer (idempotent).
-
-        The fence of the write-behind contract: after this returns every
-        queued page-out has landed on disk (or its epoch went stale and
-        was skipped), so checkpoints and densification rebuilds never
-        race an in-flight write. Spills afterwards fall back to the
-        synchronous path.
-        """
-        writer = getattr(self, "_writer", None)
-        if writer is None:
-            return
-        self._writer = None
-        if getattr(self, "store", None) is not None:
-            for k in range(self.num_shards):
-                self._nongeo_store(k).writer = None
-        writer.close()
-        self._write_behind_carryover = (
-            getattr(self, "_write_behind_carryover", 0) + writer.jobs_written
-        )
-
-    @property
-    def sync_spill_bytes(self) -> int:
-        """Decoded bytes spilled *synchronously* on the training thread,
-        cumulative across densification rebuilds — the admit-path disk
-        stall in deterministic byte units. Write-behind runs keep this at
-        zero (every page-out rides the background writer); synchronous
-        runs accumulate the full page-out traffic here."""
-        total = getattr(self, "_sync_spill_carryover", 0)
-        if getattr(self, "store", None) is not None:
-            total += sum(
-                self._nongeo_store(k).sync_spill_bytes
-                for k in range(self.num_shards)
-            )
-        return total
-
-    @property
-    def sync_spill_seconds(self) -> float:
-        """Wall-clock seconds the training thread spent in synchronous
-        page-out writes (informational; byte counters are the
-        deterministic comparison)."""
-        total = getattr(self, "_sync_spill_s_carryover", 0.0)
-        if getattr(self, "store", None) is not None:
-            total += sum(
-                self._nongeo_store(k).sync_spill_s
-                for k in range(self.num_shards)
-            )
-        return total
-
-    @property
-    def write_behind_jobs(self) -> int:
-        """Page-outs completed by the background writer, cumulative
-        across rebuilds (0 unless ``write_behind`` is on)."""
-        total = getattr(self, "_write_behind_carryover", 0)
-        writer = getattr(self, "_writer", None)
-        if writer is not None:
-            total += writer.jobs_written
-        return total
-
-    def _make_nongeo_store(
-        self,
-        params_block: np.ndarray,
-        tracker: MemoryTracker,
-        ledger: TransferLedger,
-        k: int,
-    ) -> ParameterStore:
-        import os
-
-        cfg = self.config
-        return DiskStore(
-            params_block,
-            layout.NON_GEOMETRIC_BLOCK,
-            cfg.adam_config(self._lr[layout.NON_GEOMETRIC_SLICE]),
-            tracker,
-            ledger,
-            spill_path=os.path.join(self._spill_root, f"shard{k}_host"),
-            host_memory=self.host_memory,
-            resident_set=self.resident_set,
-            forwarding=True,
-            deferred=True,
-            max_defer=cfg.max_defer,
-            codec=cfg.page_codec,
-            writer=self._writer,
-            integrity=cfg.page_integrity,
-        )
-
-    # -- spill / prefetch lifecycle ---------------------------------------
-    def _nongeo_store(self, k: int) -> DiskStore:
-        return self.store.stores[k].children[1]
-
-    def active_shard_ids(self, camera: Camera) -> list[int]:
-        """Shards with at least one Gaussian inside ``camera``'s frustum."""
-        return [
-            k
-            for k in range(self.num_shards)
-            if frustum_cull(*self._shard_geometry(k), camera).num_visible
-        ]
-
-    def hint_next_view(self, camera: Camera) -> None:
-        """Tell the async prefetch leg which view comes next.
-
-        With ``async_prefetch`` on, the next :meth:`step` kicks off a
-        background worker that snapshots that view's spilled shards while
-        the current view renders; the step after adopts the buffers
-        instead of stalling on the disk read. Without the async leg this
-        is a no-op, so callers can hint unconditionally (the
-        :class:`~repro.core.trainer.Trainer` does).
-        """
-        self.hint_upcoming_views([camera])
-
-    def hint_upcoming_views(self, cameras: list[Camera]) -> None:
-        """Tell the async prefetch leg the next several views, nearest
-        first — the depth-D generalization of :meth:`hint_next_view`.
-        Only the first ``prefetch_depth`` upcoming views are staged."""
-        if self._prefetcher is not None:
-            self._pending_hints = list(cameras)
-
-    @property
-    def prefetch_depth(self) -> int:
-        """Lookahead depth of the async staging queue (1 = the classic
-        double buffer; 0 shown when the async leg is off)."""
-        return self._prefetcher.depth if self._prefetcher is not None else 0
-
-    def prefetch(self, camera: Camera) -> list[int]:
-        """Page in the view's active shards (up to the resident budget).
-
-        The synchronous anchor of the pipeline: whatever the async leg
-        managed to stage for ``camera`` is adopted here (same ledger
-        records, same accounting — the read already happened off the
-        critical path); everything else pages in on demand. The
-        whole-view cull this needs (run through the ``shard_workers``
-        pool when enabled) is cached and reused by the step's own region
-        planning, so prefetching adds no culling work.
-        """
-        if self._prefetcher is not None:
-            hinted, staged = self._prefetcher.take(camera)
-        else:
-            hinted, staged = False, {}
-        whole = super()._cull(camera)
-        self._cull_cache = (camera, whole)
-        active = [
-            k
-            for k, rows in enumerate(self.shard_rows)
-            if self.store._members(whole.valid_ids, rows)[0].size
-        ]
-        for k in active[: self.resident_set.budget]:
-            store = self._nongeo_store(k)
-            pre = staged.pop(k, None)
-            if pre is not None and store.adopt(pre):
-                self.prefetch_hits += 1
-                continue
-            if hinted and store.is_resident:
-                # already resident at a hinted view: the retention the
-                # depth-D queue buys (the shard never left host DRAM), as
-                # much a staging hit as an adopted snapshot
-                self.prefetch_hits += 1
-            elif hinted:
-                # a miss only when the async leg had its chance: a staging
-                # job ran for this very view and still failed to cover the
-                # shard (stale snapshot, wrong prediction, racing spill)
-                self.prefetch_misses += 1
-            store.page_in()
-        # this view's working set is settled: start staging the hinted
-        # upcoming views in the background, overlapped with the render
-        self._scheduled_hints = []
-        if self._prefetcher is not None and self._pending_hints:
-            hints, self._pending_hints = self._pending_hints, []
-            nxt = [c for c in hints if c is not camera][: self._prefetcher.depth]
-            if nxt:
-                self._scheduled_hints = nxt
-                self._prefetcher.schedule(nxt)
-        return active
-
-    def _cull(self, camera: Camera) -> CullResult:
-        # geometry is immutable between prefetch and region planning
-        # (gradients land after rendering), so the cached cull is exact
-        if self._cull_cache is not None and self._cull_cache[0] is camera:
-            return self._cull_cache[1]
-        return super()._cull(camera)
-
-    def spill_inactive(self, active: list[int]) -> None:
-        """Spill every resident shard the view left untouched.
-
-        At ``prefetch_depth > 1`` the scheduled lookahead also protects
-        shards the *upcoming* views need (nearest view first, while the
-        keep-set stays inside the resident budget): spilling a shard the
-        staging queue just snapshotted — or that the next view will page
-        right back in — is the D=1 thrash the depth-D queue exists to
-        avoid. Depth 1 keeps the historical behavior exactly.
-        """
-        keep = set(active)
-        if self._prefetcher is not None and self._prefetcher.depth > 1:
-            for cam in self._scheduled_hints:
-                if len(keep) >= self.resident_set.budget:
-                    break
-                for k in self.active_shard_ids(cam):
-                    if len(keep) >= self.resident_set.budget:
-                        break
-                    keep.add(k)
-        for k in range(self.num_shards):
-            store = self._nongeo_store(k)
-            if k not in keep and store.is_resident:
-                store.spill()
-
-    def step(self, camera: Camera, gt_image: np.ndarray) -> StepReport:
-        with _span("train/prefetch", "train"):
-            active = self.prefetch(camera)
-        try:
-            report = super().step(camera, gt_image)
-        finally:
-            self._cull_cache = None  # geometry mutates at step end
-        with _span("train/spill", "train"):
-            self.spill_inactive(active)
-        return report
-
-    def finalize(self) -> None:
-        self._close_prefetcher()
-        super().finalize()
-        # the checkpoint fence: save_checkpoint finalizes first, so every
-        # queued page-out (including ones the flush's own evictions just
-        # enqueued) lands before any state is serialized. Drain, don't
-        # close: training may continue (mid-run checkpoints, densify).
-        writer = getattr(self, "_writer", None)
-        if writer is not None:
-            writer.drain()
-
-    def __del__(self):
-        try:
-            self._close_prefetcher()
-        except Exception:
-            pass
-        try:
-            self._close_writer()
-        except Exception:
-            pass
-        super().__del__()
+                staged += cost
+        return buffers, staged
 
 
 def create_system(model: GaussianModel, config: GSScaleConfig) -> TrainingSystem:
-    """Factory for the Figure-11 systems plus the sharded multi-device and
-    out-of-core extensions."""
+    """Factory for the Figure-11 systems; every GS-Scale preset (including
+    the sharded multi-device and out-of-core placements) is one
+    :class:`GSScaleSystem`."""
     if config.system == "gpu_only":
         return GPUOnlySystem(model, config)
     if config.system == "baseline_offload":
         return BaselineOffloadSystem(model, config)
-    if config.system == "gsscale_no_deferred":
-        return GSScaleSystem(model, config, deferred=False)
-    if config.system == "gsscale":
-        return GSScaleSystem(model, config, deferred=True)
-    if config.system == "sharded":
-        return ShardedGSScaleSystem(model, config)
-    if config.system == "outofcore":
-        return OutOfCoreGSScaleSystem(model, config)
-    raise ValueError(f"unknown system {config.system!r}")
+    return GSScaleSystem(model, config)

@@ -124,6 +124,16 @@ class Trainer:
         """Current scene size."""
         return self.system.num_gaussians
 
+    def close(self) -> None:
+        """Release the system's pools, threads and temporary files."""
+        self.system.close()
+
+    def __enter__(self) -> "Trainer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def train(
         self,
         cameras: list[Camera],
@@ -173,9 +183,7 @@ class Trainer:
             order = locality_view_order(cameras)
         else:
             order = np.arange(len(cameras))
-        hints = hasattr(self.system, "hint_next_view")
-        depth = getattr(self.system, "prefetch_depth", 1)
-        deep_hints = depth > 1 and hasattr(self.system, "hint_upcoming_views")
+        depth = self.system.prefetch_depth
 
         stop = start_iteration + iterations
         for it in range(start_iteration, stop):
@@ -183,21 +191,18 @@ class Trainer:
             if pos == 0 and shuffle:
                 rng.shuffle(order)
             view = order[pos]
-            if deep_hints and it + 1 < stop:
-                # depth-D overlap: hand the system the next D views of
-                # the schedule (locality order makes the deeper entries
-                # worth staging), nearest first
+            if depth and it + 1 < stop:
+                # overlap leg: let the system stage the next D views'
+                # shards while this view renders, nearest first (exact for
+                # the steady in-epoch case, and locality order makes the
+                # deeper entries worth staging; a wrong guess is only a
+                # cache miss)
                 self.system.hint_upcoming_views(
                     [
                         cameras[order[(it + 1 + j) % len(cameras)]]
                         for j in range(min(depth, stop - it - 1))
                     ]
                 )
-            elif hints and it + 1 < stop:
-                # overlap leg: let the system stage the next view's
-                # shards while this view renders (exact for the steady
-                # in-epoch case; a wrong guess is only a cache miss)
-                self.system.hint_next_view(cameras[order[(it + 1) % len(cameras)]])
             report = self.system.step(cameras[view], images[view])
             history.steps.append(report)
             if self._controller is not None:

@@ -211,29 +211,48 @@ def _run_patch_job(spec: PatchJobSpec) -> PatchJobResult:
             checkpoint_path=spec.checkpoint_path,
         )
 
-    trainer = Trainer(GaussianModel(spec.params), spec.config)
+    trainer = None
     status = "trained"
     start = 0
     if resumable:
-        try:
-            load_checkpoint(spec.checkpoint_path, trainer.system)
+        trainer = _trainer_from_checkpoint(spec, spec.checkpoint_path)
+        if trainer is not None:
             start, status = done, "resumed"
-        except CorruptCheckpointError:
+        else:
             # torn mid-write: fall back to the rotated last-good
             # checkpoint. The start position comes from the checkpoint
             # itself (system.iteration counts completed steps), so a
             # manifest that ran ahead of — or behind — the tear cannot
             # desynchronize the deterministic schedule.
-            trainer = Trainer(GaussianModel(spec.params), spec.config)
             prev = spec.checkpoint_path + ".prev"
             if os.path.exists(prev):
-                try:
-                    load_checkpoint(prev, trainer.system)
-                    start = int(trainer.system.iteration)
-                    status = "resumed"
-                except CorruptCheckpointError:
-                    trainer = Trainer(GaussianModel(spec.params), spec.config)
+                trainer = _trainer_from_checkpoint(spec, prev)
+                if trainer is not None:
+                    start, status = int(trainer.system.iteration), "resumed"
+    if trainer is None:
+        trainer = Trainer(GaussianModel(spec.params), spec.config)
+    with trainer:
+        return _train_from(spec, trainer, start, status)
 
+
+def _trainer_from_checkpoint(spec: PatchJobSpec, path: str) -> Trainer | None:
+    """A trainer resumed from ``path``, or ``None`` (closed) when the
+    checkpoint is torn."""
+    trainer = Trainer(GaussianModel(spec.params), spec.config)
+    try:
+        load_checkpoint(path, trainer.system)
+    except BaseException as exc:
+        trainer.close()
+        if isinstance(exc, CorruptCheckpointError):
+            return None
+        raise
+    return trainer
+
+
+def _train_from(
+    spec: PatchJobSpec, trainer: Trainer, start: int, status: str
+) -> PatchJobResult:
+    """Train the job from ``start``, checkpointing every chunk."""
     def snapshot(iterations_done: int) -> None:
         # rotate the last good checkpoint aside before overwriting it:
         # should this save tear (crash mid-write), the next attempt

@@ -106,6 +106,12 @@ class ServingStore:
     def close(self) -> None:
         """Release any backing resources (idempotent)."""
 
+    def __enter__(self) -> "ServingStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 class InMemoryServingStore(ServingStore):
     """The whole committed model resident in host memory.
@@ -356,14 +362,6 @@ class PagedServingStore(ServingStore):
         if int(sum(r.size for r in self.shard_rows)) != geo.shape[0]:
             raise ValueError("shard rows must partition the model's rows")
         self.ledger = ledger if ledger is not None else TransferLedger()
-        if page_dir is None:
-            self._page_tmp = tempfile.TemporaryDirectory(prefix="gsscale-serve-")
-            self.page_dir = self._page_tmp.name
-        else:
-            self._page_tmp = None
-            self.page_dir = page_dir
-            os.makedirs(page_dir, exist_ok=True)
-
         geo_bytes = layout.param_bytes(self.num_rows, layout.GEOMETRIC_DIM)
         worst = max(
             layout.param_bytes(int(r.size), layout.NON_GEOMETRIC_DIM)
@@ -375,6 +373,14 @@ class PagedServingStore(ServingStore):
                 f"host budget {host_budget_bytes} cannot hold the resident "
                 f"geometry ({geo_bytes} B) plus one shard page ({worst} B)"
             )
+        # validated: only now create anything that close() must release
+        if page_dir is None:
+            self._page_tmp = tempfile.TemporaryDirectory(prefix="gsscale-serve-")
+            self.page_dir = self._page_tmp.name
+        else:
+            self._page_tmp = None
+            self.page_dir = page_dir
+            os.makedirs(page_dir, exist_ok=True)
         self.host_memory = MemoryTracker(capacity_bytes=host_budget_bytes)
         self.host_memory.allocate("serve_geo", geo_bytes)
         self.resident_set = ResidentSet(min(int(resident), len(self.shard_rows)))

@@ -10,11 +10,16 @@ preload/adopt protocol rejects stale snapshots, and the trainer wires
 hints and locality ordering through.
 """
 
+import gc
+import os
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.cameras import Camera
 from repro.core import GSScaleConfig, Trainer, create_system, locality_view_order
+from repro.core.checkpoint import save_checkpoint
 from repro.core.stores import DiskStore
 from repro.core.systems import TransferLedger
 from repro.datasets import SyntheticSceneConfig, build_scene
@@ -61,6 +66,23 @@ def clustered():
     return model, cameras, images
 
 
+#: systems and trainers the running test built, closed at its teardown
+_built = []
+
+
+@pytest.fixture(autouse=True)
+def _close_built():
+    yield
+    while _built:
+        _built.pop().close()
+
+
+def built(obj):
+    """Register ``obj`` for closing when the test ends; returns it."""
+    _built.append(obj)
+    return obj
+
+
 def make_system(model, async_prefetch, **cfg):
     defaults = dict(
         system="outofcore", num_shards=4, resident_shards=1,
@@ -68,7 +90,7 @@ def make_system(model, async_prefetch, **cfg):
         async_prefetch=async_prefetch,
     )
     defaults.update(cfg)
-    return create_system(model.copy(), GSScaleConfig(**defaults))
+    return built(create_system(model.copy(), GSScaleConfig(**defaults)))
 
 
 def run_hinted(model, cameras, images, async_prefetch, steps=8, **cfg):
@@ -77,7 +99,7 @@ def run_hinted(model, cameras, images, async_prefetch, steps=8, **cfg):
     losses = []
     for i in range(steps):
         if i + 1 < steps:
-            s.hint_next_view(cameras[(i + 1) % len(cameras)])
+            s.hint_upcoming_views([cameras[(i + 1) % len(cameras)]])
         losses.append(s.step(cameras[i % len(cameras)], images[i % len(cameras)]).loss)
     s.finalize()
     return s, losses
@@ -124,7 +146,7 @@ class TestBitIdentity:
                 scene_extent=scene.extent, ssim_lambda=0.2, mem_limit=1.0,
                 seed=0, async_prefetch=flag,
             )
-            t = Trainer(scene.initial.copy(), cfg)
+            t = built(Trainer(scene.initial.copy(), cfg))
             t.train(scene.train_cameras, scene.train_images, 10)
             results[flag] = t.system.materialized_model().params
         np.testing.assert_array_equal(results[False], results[True])
@@ -169,16 +191,97 @@ class TestOverlapActuallyHits:
             scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
             async_prefetch=True,
         )
-        trainer = Trainer(model.copy(), cfg)
+        trainer = built(Trainer(model.copy(), cfg))
         trainer.train(cameras, images, 8)
         assert trainer.system.prefetch_hits >= 4
 
-    def test_finalize_stops_the_worker(self, clustered):
+    def test_close_stops_the_worker(self, clustered):
         model, cameras, images = clustered
         asyn, _ = run_hinted(model, cameras, images, True)
-        assert asyn._prefetcher is None
-        # post-finalize hints are harmless no-ops
-        asyn.hint_next_view(cameras[0])
+        worker = asyn._pager.prefetcher._thread
+        assert worker.is_alive()  # finalize() only settles the math
+        asyn.close()
+        assert not worker.is_alive()
+        asyn.close()  # idempotent
+        # post-close hints are harmless no-ops
+        asyn.hint_upcoming_views([cameras[0]])
+
+
+class TestLifecycle:
+    """``finalize()`` settles the math and leaves the async leg running;
+    ``close()`` is the only teardown."""
+
+    CONFIG = dict(
+        system="outofcore", num_shards=4, resident_shards=1,
+        scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
+        async_prefetch=True,
+    )
+
+    def test_second_train_keeps_prefetching(self, clustered):
+        model, cameras, images = clustered
+        trainer = built(Trainer(model.copy(), GSScaleConfig(**self.CONFIG)))
+        trainer.train(cameras, images, 8)  # ends in finalize()
+        first = trainer.system.prefetch_hits
+        assert first >= 4
+        assert trainer.system.prefetch_depth == 1
+        trainer.train(cameras, images, 8)
+        assert trainer.system.prefetch_hits - first >= 4
+
+    def test_mid_run_checkpoint_keeps_prefetching(self, clustered, tmp_path):
+        model, cameras, images = clustered
+        trainer = built(Trainer(model.copy(), GSScaleConfig(**self.CONFIG)))
+        trainer.train(cameras, images, 4)
+        save_checkpoint(str(tmp_path / "mid.npz"), trainer.system)
+        before = trainer.system.prefetch_hits
+        trainer.train(cameras, images, 8, start_iteration=4)
+        assert trainer.system.prefetch_hits - before >= 4
+
+    def test_counters_survive_a_rebuild(self, clustered):
+        """A densification rebuild replaces every store; the run-level
+        paging counters carry over, and the async leg keeps working."""
+        model, cameras, images = clustered
+        s, _ = run_hinted(model, cameras, images, True)
+        current = s.materialized_model()  # pages (and spills) shards too
+        counters = (s.prefetch_hits, s.prefetch_misses, s.sync_spill_bytes)
+        assert counters[0] >= 4 and counters[2] > 0
+        s.rebuild(current)
+        assert (s.prefetch_hits, s.prefetch_misses) == counters[:2]
+        # building the new stores under the budget spills some at once
+        assert s.sync_spill_bytes >= counters[2]
+        for i in range(8):
+            s.hint_upcoming_views([cameras[(i + 1) % len(cameras)]])
+            s.step(cameras[i % len(cameras)], images[i % len(cameras)])
+        assert s.prefetch_hits >= counters[0] + 4
+
+    def test_close_releases_threads_and_spill_dir(self, clustered):
+        model, cameras, images = clustered
+        with make_system(model, True, write_behind=True) as s:
+            for i in range(3):
+                s.hint_upcoming_views([cameras[(i + 1) % len(cameras)]])
+                s.step(cameras[i], images[i])
+            spill_root = s._pager.spill_root
+            threads = [s._pager.prefetcher._thread, s._pager.writer._thread]
+            assert os.path.isdir(spill_root)
+            assert all(t.is_alive() for t in threads)
+        assert not os.path.exists(spill_root)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_dropped_system_is_collected(self, clustered, tmp_path):
+        """The prefetch thread holds its system weakly: an unclosed system
+        that goes out of scope is still garbage (its caller-provided spill
+        directory stays, as always)."""
+        model, cameras, images = clustered
+        s = create_system(
+            model.copy(),
+            GSScaleConfig(**self.CONFIG, spill_dir=str(tmp_path / "spill")),
+        )
+        for i in range(3):
+            s.hint_upcoming_views([cameras[(i + 1) % len(cameras)]])
+            s.step(cameras[i], images[i])
+        ref = weakref.ref(s)
+        del s
+        gc.collect()
+        assert ref() is None
 
 
 class TestPreloadAdoptProtocol:
@@ -290,7 +393,7 @@ class TestLocalityOrder:
     def test_trainer_validates_view_order(self, clustered):
         model, cameras, images = clustered
         cfg = GSScaleConfig(system="gsscale", scene_extent=8.0)
-        t = Trainer(model.copy(), cfg)
+        t = built(Trainer(model.copy(), cfg))
         with pytest.raises(ValueError, match="view_order"):
             t.train(cameras, images, 2, view_order="zigzag")
         with pytest.raises(ValueError, match="mutually exclusive"):
@@ -302,7 +405,7 @@ class TestLocalityOrder:
             system="outofcore", num_shards=4, resident_shards=1,
             scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
         )
-        t = Trainer(model.copy(), cfg)
+        t = built(Trainer(model.copy(), cfg))
         hist = t.train(cameras, images, 8, view_order="locality")
         assert hist.num_iterations == 8
         assert np.isfinite(hist.final_loss)

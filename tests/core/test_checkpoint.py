@@ -1,5 +1,8 @@
 """Tests for checkpoint save/resume."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.core.checkpoint import (
     resume_model,
     save_checkpoint,
 )
+from repro.core.integrity import CorruptCheckpointError
 from repro.datasets import SyntheticSceneConfig, build_scene
 
 
@@ -22,6 +26,23 @@ def scene():
             altitude=9.0, seed=101,
         )
     )
+
+
+#: systems the running test built, closed at its teardown
+_built = []
+
+
+@pytest.fixture(autouse=True)
+def _close_built():
+    yield
+    while _built:
+        _built.pop().close()
+
+
+def built(system):
+    """Register ``system`` for closing when the test ends; returns it."""
+    _built.append(system)
+    return system
 
 
 def cfg(scene, system):
@@ -47,15 +68,15 @@ class TestResume:
         """train 6 == train 3, checkpoint, restore, train 3."""
         path = str(tmp_path / f"{system_name}.npz")
 
-        straight = create_system(scene.initial.copy(), cfg(scene, system_name))
+        straight = built(create_system(scene.initial.copy(), cfg(scene, system_name)))
         steps(straight, scene, 6)
         straight.finalize()
 
-        first = create_system(scene.initial.copy(), cfg(scene, system_name))
+        first = built(create_system(scene.initial.copy(), cfg(scene, system_name)))
         steps(first, scene, 3)
         save_checkpoint(path, first)
 
-        resumed = create_system(scene.initial.copy(), cfg(scene, system_name))
+        resumed = built(create_system(scene.initial.copy(), cfg(scene, system_name)))
         load_checkpoint(path, resumed)
         steps(resumed, scene, 3, start=3)
         resumed.finalize()
@@ -72,10 +93,10 @@ class TestResume:
 
     def test_iteration_counter_restored(self, tmp_path, scene, system_name):
         path = str(tmp_path / f"{system_name}_it.npz")
-        s = create_system(scene.initial.copy(), cfg(scene, system_name))
+        s = built(create_system(scene.initial.copy(), cfg(scene, system_name)))
         steps(s, scene, 4)
         save_checkpoint(path, s)
-        fresh = create_system(scene.initial.copy(), cfg(scene, system_name))
+        fresh = built(create_system(scene.initial.copy(), cfg(scene, system_name)))
         load_checkpoint(path, fresh)
         assert fresh.iteration == 4
 
@@ -129,9 +150,9 @@ class TestMidRunEquivalence:
         def fresh():
             import dataclasses
 
-            return create_system(
+            return built(create_system(
                 scene.initial.copy(), dataclasses.replace(config)
-            )
+            ))
 
         straight = fresh()
         steps(straight, scene, n)
@@ -169,9 +190,9 @@ class TestMidRunEquivalence:
             config.write_behind = write_behind
             import dataclasses
 
-            return create_system(
+            return built(create_system(
                 scene.initial.copy(), dataclasses.replace(config)
-            )
+            ))
 
         paths = {}
         for wb in (False, True):
@@ -217,15 +238,15 @@ class TestMidRunEquivalence:
             config = cfg(scene, name)
             for key, value in extra.items():
                 setattr(config, key, value)
-            s = create_system(scene.initial.copy(), config)
+            s = built(create_system(scene.initial.copy(), config))
             steps(s, scene, self.N)
             path = str(tmp_path / f"{name}_cross.npz")
             save_checkpoint(path, s)
             import dataclasses
 
-            resumed = create_system(
+            resumed = built(create_system(
                 scene.initial.copy(), dataclasses.replace(config)
-            )
+            ))
             load_checkpoint(path, resumed)
             steps(resumed, scene, self.N, start=self.N)
             resumed.finalize()
@@ -238,17 +259,17 @@ class TestMidRunEquivalence:
 class TestValidation:
     def test_system_mismatch_rejected(self, tmp_path, scene):
         path = str(tmp_path / "a.npz")
-        s = create_system(scene.initial.copy(), cfg(scene, "gpu_only"))
+        s = built(create_system(scene.initial.copy(), cfg(scene, "gpu_only")))
         steps(s, scene, 1)
         save_checkpoint(path, s)
-        other = create_system(scene.initial.copy(), cfg(scene, "gsscale"))
+        other = built(create_system(scene.initial.copy(), cfg(scene, "gsscale")))
         with pytest.raises(ValueError):
             load_checkpoint(path, other)
 
     def test_resume_model_extraction(self, tmp_path, scene):
         for name in ("gpu_only", "gsscale"):
             path = str(tmp_path / f"{name}_m.npz")
-            s = create_system(scene.initial.copy(), cfg(scene, name))
+            s = built(create_system(scene.initial.copy(), cfg(scene, name)))
             steps(s, scene, 2)
             save_checkpoint(path, s)
             model = resume_model(path)
@@ -275,6 +296,33 @@ def _write_checkpoint(path, num_gaussians, blocks):
             arrays[p + "rows"] = np.asarray(rows)
     np.savez_compressed(path, **arrays)
     return str(path)
+
+
+class TestTornArchive:
+    def test_torn_archive_closes_its_file(self, tmp_path, scene):
+        """An archive that starts like a zip but does not parse raises
+        CorruptCheckpointError without leaking the opened file."""
+        good = str(tmp_path / "good.npz")
+        s = built(create_system(scene.initial.copy(), cfg(scene, "gsscale")))
+        save_checkpoint(good, s)
+        with open(good, "rb") as fh:
+            data = fh.read()
+        torn = tmp_path / "torn.npz"
+        torn.write_bytes(data[: len(data) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for open_torn in (
+                lambda: load_checkpoint(str(torn), s),
+                lambda: CheckpointReader(str(torn)),
+            ):
+                try:
+                    open_torn()
+                except CorruptCheckpointError:
+                    pass
+                else:
+                    pytest.fail("torn archive was accepted")
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestReaderEdgeCases:

@@ -72,13 +72,30 @@ def clustered():
     return model, cameras, images
 
 
+#: systems and trainers the running test built, closed at its teardown
+_built = []
+
+
+@pytest.fixture(autouse=True)
+def _close_built():
+    yield
+    while _built:
+        _built.pop().close()
+
+
+def built(obj):
+    """Register ``obj`` for closing when the test ends; returns it."""
+    _built.append(obj)
+    return obj
+
+
 def make_system(model, **cfg):
     defaults = dict(
         system="outofcore", num_shards=4, resident_shards=1,
         scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
     )
     defaults.update(cfg)
-    return create_system(model.copy(), GSScaleConfig(**defaults))
+    return built(create_system(model.copy(), GSScaleConfig(**defaults)))
 
 
 def run_steps(model, cameras, images, steps=8, **cfg):
@@ -185,7 +202,7 @@ class TestDepthD:
             scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
             async_prefetch=True, prefetch_depth=depth,
         )
-        t = Trainer(model.copy(), cfg)
+        t = built(Trainer(model.copy(), cfg))
         t.train(cameras[:2], images[:2], steps)
         return t.system
 
@@ -206,7 +223,7 @@ class TestDepthD:
 
     def test_depth_reported(self, clustered):
         d2 = self.run_depth(clustered, 2, steps=2)
-        assert d2.prefetch_depth == 0  # prefetcher closed by finalize
+        assert d2.prefetch_depth == 2  # finalize() keeps the async leg
         model, cameras, images = clustered
         live = make_system(
             model, resident_shards=2, async_prefetch=True, prefetch_depth=3
@@ -223,7 +240,7 @@ class TestDepthD:
             scene_extent=8.0, ssim_lambda=0.0, mem_limit=1.0, seed=0,
             async_prefetch=True, prefetch_depth=3,
         )
-        t = Trainer(model.copy(), cfg)
+        t = built(Trainer(model.copy(), cfg))
         t.train(cameras, images, 12)
         s = t.system
         per_shard = max(
@@ -281,7 +298,7 @@ class TestWriteBehind:
             async_prefetch=True, prefetch_depth=3, write_behind=True,
             page_codec="lossless",
         )
-        combo = create_system(model.copy(), cfg)
+        combo = built(create_system(model.copy(), cfg))
         loss_combo = []
         for i in range(8):
             loss_combo.append(
@@ -318,7 +335,7 @@ class TestFarBeyondHostBudget:
             seed=0, async_prefetch=True, write_behind=True,
             page_codec="float16",
         )
-        t = Trainer(scene.initial.copy(), cfg)
+        t = built(Trainer(scene.initial.copy(), cfg))
         hist = t.train(scene.train_cameras, scene.train_images, 12,
                        view_order="locality")
         assert np.isfinite(hist.final_loss)

@@ -36,13 +36,26 @@ def scene():
     )
 
 
+#: systems the running test built, closed at its teardown
+_built = []
+
+
+@pytest.fixture(autouse=True)
+def _close_built():
+    yield
+    while _built:
+        _built.pop().close()
+
+
 def make(scene, system="sharded", **cfg):
     defaults = dict(
         system=system, scene_extent=scene.extent, ssim_lambda=0.2,
         mem_limit=1.0, seed=0,
     )
     defaults.update(cfg)
-    return create_system(scene.initial.copy(), GSScaleConfig(**defaults))
+    s = create_system(scene.initial.copy(), GSScaleConfig(**defaults))
+    _built.append(s)
+    return s
 
 
 def run(scene, system="sharded", steps=6, **cfg):

@@ -35,13 +35,26 @@ def scene():
     return s
 
 
+#: systems the running test built, closed at its teardown
+_built = []
+
+
+@pytest.fixture(autouse=True)
+def _close_built():
+    yield
+    while _built:
+        _built.pop().close()
+
+
 def make(scene, system="outofcore", **cfg):
     defaults = dict(
         system=system, scene_extent=scene.extent, ssim_lambda=0.2,
         mem_limit=1.0, seed=0, num_shards=4,
     )
     defaults.update(cfg)
-    return create_system(scene.initial.copy(), GSScaleConfig(**defaults))
+    s = create_system(scene.initial.copy(), GSScaleConfig(**defaults))
+    _built.append(s)
+    return s
 
 
 def run(scene, system="outofcore", steps=8, **cfg):
@@ -195,7 +208,7 @@ class TestSpillLifecycle:
                    resident_shards=1)
         files = sorted(os.listdir(spill))
         assert any(f.startswith("shard0_host.params") for f in files)
-        del s
+        s.close()
         assert os.path.isdir(spill)  # caller-provided dirs are never deleted
 
     def test_resident_set_budget_validation(self):
@@ -265,23 +278,23 @@ class TestCheckpointAndTrainer:
             grad_threshold=1e-9, percent_dense=0.01,
             max_gaussians=scene.initial.num_gaussians + 80,
         )
-        trainer = Trainer(scene.initial.copy(), cfg, densify=densify)
-        hist = trainer.train(scene.train_cameras, scene.train_images, 12)
-        assert hist.num_iterations == 12
-        assert len(hist.densify_reports) >= 1
-        assert np.isfinite(hist.final_loss)
-        system = trainer.system
-        # densification rebuilds reset the ledger; step twice more so the
-        # post-rebuild system shows live page traffic
-        for i in range(2):
-            system.step(scene.train_cameras[i], scene.train_images[i])
-        assert system.ledger.page_out_bytes > 0
-        # post-rebuild shards are near-equal; the budget still caps live
-        # host state at the worst shard + counters
-        worst = max(
-            3 * layout.param_bytes(r.size, layout.NON_GEOMETRIC_DIM)
-            for r in system.shard_rows
-        )
-        assert system.host_memory.live_bytes <= worst + system.num_gaussians
-        ev = trainer.evaluate(scene.test_cameras, scene.test_images)
-        assert np.isfinite(ev.psnr)
+        with Trainer(scene.initial.copy(), cfg, densify=densify) as trainer:
+            hist = trainer.train(scene.train_cameras, scene.train_images, 12)
+            assert hist.num_iterations == 12
+            assert len(hist.densify_reports) >= 1
+            assert np.isfinite(hist.final_loss)
+            system = trainer.system
+            # densification rebuilds reset the ledger; step twice more so
+            # the post-rebuild system shows live page traffic
+            for i in range(2):
+                system.step(scene.train_cameras[i], scene.train_images[i])
+            assert system.ledger.page_out_bytes > 0
+            # post-rebuild shards are near-equal; the budget still caps
+            # live host state at the worst shard + counters
+            worst = max(
+                3 * layout.param_bytes(r.size, layout.NON_GEOMETRIC_DIM)
+                for r in system.shard_rows
+            )
+            assert system.host_memory.live_bytes <= worst + system.num_gaussians
+            ev = trainer.evaluate(scene.test_cameras, scene.test_images)
+            assert np.isfinite(ev.psnr)

@@ -24,13 +24,26 @@ def scene():
     )
 
 
+#: systems the running test built, closed at its teardown
+_built = []
+
+
+@pytest.fixture(autouse=True)
+def _close_built():
+    yield
+    while _built:
+        _built.pop().close()
+
+
 def make(scene, system="sharded", **cfg):
     defaults = dict(
         system=system, scene_extent=scene.extent, ssim_lambda=0.2,
         mem_limit=1.0, seed=0,
     )
     defaults.update(cfg)
-    return create_system(scene.initial.copy(), GSScaleConfig(**defaults))
+    s = create_system(scene.initial.copy(), GSScaleConfig(**defaults))
+    _built.append(s)
+    return s
 
 
 def run(scene, system="sharded", steps=8, **cfg):
@@ -128,9 +141,12 @@ class TestMultiprocessingFanout:
             fanned.materialized_model().params,
         )
 
-    def test_pool_closed_on_finalize(self, scene):
+    def test_pool_closed_on_close(self, scene):
         s, _ = run(scene, "sharded", steps=2, num_shards=2, shard_workers=2)
-        assert s._pool is None  # finalize() tears the pool down
+        assert s._pool is not None  # finalize() only settles the math
+        s.close()
+        assert s._pool is None
+        s.close()  # idempotent
 
 
 class TestPerShardAccounting:
@@ -227,6 +243,7 @@ class TestCheckpointAndTrainer:
             max_gaussians=scene.initial.num_gaussians + 80,
         )
         trainer = Trainer(scene.initial.copy(), cfg, densify=densify)
+        _built.append(trainer)
         hist = trainer.train(scene.train_cameras, scene.train_images, 12)
         assert hist.num_iterations == 12
         assert len(hist.densify_reports) >= 1

@@ -64,6 +64,13 @@ class TestFindBalancedSplit:
         assert SPLIT_SEARCH_STEPS == 5
 
 
+def leaf_stores(system):
+    """A single-shard GS-Scale system's leaf stores by checkpoint prefix
+    (``geo``: the device geometric block, ``host``: the forwarding host
+    block)."""
+    return {prefix: store for prefix, store, _ in system.checkpoint_entries()}
+
+
 class TestSplitTrainingEquivalence:
     def test_split_single_step_exact(self, scene):
         """Section 4.4's mathematical-equivalence claim: from identical
@@ -91,18 +98,19 @@ class TestSplitTrainingEquivalence:
             assert rs.num_regions >= 2
             assert rs.loss == pytest.approx(rw.loss, rel=1e-12)
             np.testing.assert_array_equal(rw.valid_ids, rs.valid_ids)
+            w, s = leaf_stores(whole), leaf_stores(split)
             # aggregated gradients pending on the host must agree
             np.testing.assert_allclose(
-                whole._pending_grads, split._pending_grads,
+                w["host"]._pending_grads, s["host"]._pending_grads,
                 rtol=1e-9, atol=1e-15,
             )
             # re-synchronize state so every step starts from bit-identical
             # inputs (float associativity across region sums would
             # otherwise compound through raster thresholds)
-            split.device_geo[...] = whole.device_geo
-            split.geo_optimizer.m[...] = whole.geo_optimizer.m
-            split.geo_optimizer.v[...] = whole.geo_optimizer.v
-            split._pending_grads = whole._pending_grads.copy()
+            s["geo"].params[...] = w["geo"].params
+            s["geo"].optimizer.m[...] = w["geo"].optimizer.m
+            s["geo"].optimizer.v[...] = w["geo"].optimizer.v
+            s["host"]._pending_grads = w["host"]._pending_grads.copy()
 
     def test_split_multi_step_statistically_identical(self, scene):
         """Free-running split vs unsplit training: trajectories may drift

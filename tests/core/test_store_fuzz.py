@@ -9,6 +9,8 @@ throughout. Placement and paging must be invisible to the math no matter
 how the operations interleave.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -190,10 +192,10 @@ def test_float16_disk_store_mirror_pair(tmp_path, seed):
     # reproduces the page file byte-for-byte
     disk = stores[0]
     disk.spill()
-    first = {f: open(p, "rb").read() for f, p in disk._page_files.items()}
+    first = {f: Path(p).read_bytes() for f, p in disk._page_files.items()}
     disk.page_in()
     disk.spill()
-    second = {f: open(p, "rb").read() for f, p in disk._page_files.items()}
+    second = {f: Path(p).read_bytes() for f, p in disk._page_files.items()}
     assert first == second
 
 

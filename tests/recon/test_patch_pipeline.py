@@ -62,9 +62,9 @@ def pipeline(scene, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def monolithic(scene):
-    trainer = Trainer(scene.initial.copy(), TRAIN)
-    trainer.train(scene.train_cameras, scene.train_images, ITERATIONS)
-    return GaussianModel(np.asarray(trainer.system.params).copy())
+    with Trainer(scene.initial.copy(), TRAIN) as trainer:
+        trainer.train(scene.train_cameras, scene.train_images, ITERATIONS)
+        return GaussianModel(np.asarray(trainer.system.store.params).copy())
 
 
 class TestEndToEnd:
@@ -82,13 +82,13 @@ class TestEndToEnd:
 
     def test_interior_views_match_monolithic(self, scene, pipeline, monolithic):
         result, _ = pipeline
-        service = RenderService(resume_model(result.checkpoint_path))
-        mono_service = RenderService(monolithic)
         margins = []
-        for camera, gt in zip(scene.test_cameras, scene.test_images):
-            patch_img = service.render(RenderRequest(camera=camera)).image
-            mono_img = mono_service.render(RenderRequest(camera=camera)).image
-            margins.append(psnr(patch_img, gt) - psnr(mono_img, gt))
+        with RenderService(resume_model(result.checkpoint_path)) as service, \
+                RenderService(monolithic) as mono_service:
+            for camera, gt in zip(scene.test_cameras, scene.test_images):
+                patch_img = service.render(RenderRequest(camera=camera)).image
+                mono_img = mono_service.render(RenderRequest(camera=camera)).image
+                margins.append(psnr(patch_img, gt) - psnr(mono_img, gt))
         # patch training sees only local views, so allow a small quality
         # gap — but it must stay within tolerance of the single run
         assert min(margins) > -2.0
@@ -96,14 +96,14 @@ class TestEndToEnd:
     def test_servable_in_memory_and_paged(self, scene, pipeline):
         result, _ = pipeline
         camera = scene.test_cameras[0]
-        hot = RenderService.from_checkpoint(result.checkpoint_path)
-        paged = RenderService.from_checkpoint(
+        with RenderService.from_checkpoint(result.checkpoint_path) as hot:
+            a = hot.render(RenderRequest(camera=camera)).image
+        with RenderService.from_checkpoint(
             result.checkpoint_path,
             host_budget_bytes=1 << 16,
             num_shards=4,
-        )
-        a = hot.render(RenderRequest(camera=camera)).image
-        b = paged.render(RenderRequest(camera=camera)).image
+        ) as paged:
+            b = paged.render(RenderRequest(camera=camera)).image
         np.testing.assert_array_equal(a, b)
 
     def test_peak_host_bytes_below_monolithic(self, pipeline):

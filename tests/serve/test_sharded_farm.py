@@ -52,7 +52,8 @@ def budget(n, num_shards=4, shards_resident=1):
 @pytest.fixture(scope="module")
 def paged(scene):
     n = scene.oracle.num_gaussians
-    return PagedServingStore.from_model(scene.oracle, budget(n))
+    with PagedServingStore.from_model(scene.oracle, budget(n)) as store:
+        yield store
 
 
 def make_tasks(scene, lod_set, config=None):

@@ -8,6 +8,7 @@ in-memory store.
 """
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -128,6 +129,20 @@ class TestPagedStore:
                 model, layout.param_bytes(model.num_gaussians, layout.GEOMETRIC_DIM)
             )
 
+    def test_rejected_budget_creates_no_page_dir(self, scene, tmp_path, monkeypatch):
+        """Validation runs before the temporary page directory exists, so
+        a rejected store leaves nothing behind."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        model = scene.oracle
+        # the held traceback keeps any half-built store (and its
+        # directory) alive until the listing below
+        with pytest.raises(ValueError, match="host budget") as rejected:
+            PagedServingStore.from_model(
+                model, layout.param_bytes(model.num_gaussians, layout.GEOMETRIC_DIM)
+            )
+        assert os.listdir(tmp_path) == []
+        del rejected
+
     def test_explicit_page_dir_is_used(self, scene, tmp_path):
         model = scene.oracle
         paged = PagedServingStore.from_model(
@@ -217,12 +232,11 @@ class TestCheckpointOpen:
             scene_extent=scene.extent, mem_limit=1.0, seed=0,
             engine="vectorized",
         )
-        system = create_system(scene.initial.copy(), cfg)
-        for i in range(6):
-            system.step(scene.train_cameras[i % 6], scene.train_images[i % 6])
         path = str(tmp_path_factory.mktemp("ck") / "serve_ck.npz")
-        save_checkpoint(path, system)
-        system.finalize()
+        with create_system(scene.initial.copy(), cfg) as system:
+            for i in range(6):
+                system.step(scene.train_cameras[i % 6], scene.train_images[i % 6])
+            save_checkpoint(path, system)
         return path
 
     def test_reader_blocks_cover_all_columns(self, checkpoint):

@@ -116,9 +116,9 @@ class TestEndToEndRollup:
             system="outofcore", num_shards=2, resident_shards=1,
             scene_extent=scene.extent, telemetry=True, seed=0,
         )
-        system = create_system(scene.initial.copy(), config)
-        system.step(scene.train_cameras[0], scene.train_images[0])
-        system.finalize()
+        with create_system(scene.initial.copy(), config) as system:
+            system.step(scene.train_cameras[0], scene.train_images[0])
+            system.finalize()
         out = measured_breakdown(trace.get_tracer())
         assert out["fwd_bwd"] > 0.0
         assert out["h2d"] > 0.0

@@ -48,7 +48,8 @@ class TestPly:
         m = make_model(n=2)
         path = str(tmp_path / "h.ply")
         io.export_ply(path, m)
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
         assert "element vertex 2" in text
         assert "property float f_dc_0" in text
         assert "property float f_rest_44" in text
